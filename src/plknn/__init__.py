@@ -35,6 +35,7 @@ from .kendall import (
     FeatureMatrix,
     FeatureVector,
     agent_distance,
+    discordance_matrix,
     enkt_feature,
     feature_matrix,
     kendall_tau,

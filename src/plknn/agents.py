@@ -9,7 +9,9 @@ neighbor voting on pairwise preferences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -50,6 +52,19 @@ class NeighborSet:
         }
 
 
+def _check_query(n: int, query, k=None, eps=None) -> None:
+    """Reject a query outside [0, n) and a selector out of range: an eps that
+    is not a finite number >= 0 or, when no eps is given, a k that is not an
+    integer >= 1."""
+    if not isinstance(query, Integral) or isinstance(query, bool) or not 0 <= query < n:
+        raise ValueError(f"query must be an agent index in [0, {n}), got {query!r}")
+    if eps is not None:
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not math.isfinite(eps) or eps < 0:
+            raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
+    elif not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 def _top_k(distances: np.ndarray, query: int, k: int) -> tuple[int, ...]:
     """Indices of the k smallest distances, query excluded, ties by index."""
     n = distances.size
@@ -62,6 +77,7 @@ def kt_knn(rankings: list[Ranking], query: int, k: int) -> NeighborSet:
     """The k agents whose observed rankings are closest to the query's in raw
     Kendall-tau distance, ties broken by ascending agent index."""
     n = len(rankings)
+    _check_query(n, query, k=k)
     if n < k + 1:
         raise ValueError("need at least k+1 agents")
     distances = np.array(
@@ -92,6 +108,7 @@ def global_knn(
         raise ValueError("specify exactly one of k or eps")
     if features.n_agents < 3:
         raise ValueError("need at least 3 agents")
+    _check_query(features.n_agents, query, k=k, eps=eps)
     distances = agent_distances_from(features, query)
     if eps is not None:
         members = tuple(
@@ -106,6 +123,7 @@ def global_knn(
 
 def oracle_knn(population: Population, query: int, k: int) -> NeighborSet:
     """The k agents truly closest to the query in latent space."""
+    _check_query(population.n_agents, query, k=k)
     diffs = population.agents - population.agents[query]
     distances = np.linalg.norm(diffs, axis=1)
     distances[query] = np.inf

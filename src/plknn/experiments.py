@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .agents import METHODS, sample_pairs
-from .kendall import FeatureMatrix, agent_distances_from, feature_matrix, _discordant_from_positions
+from .kendall import FeatureMatrix, agent_distances_from, discordance_matrix, feature_matrix
 from .latent import ModelConfig, Population, sample_population
 from .rankings import rank_matrix, sample_rankings
 
@@ -198,21 +198,28 @@ class _SeedContext:
 
     population: Population
     matrix: np.ndarray
-    features: FeatureMatrix | None
+    features: FeatureMatrix | None  # built only when global_knn runs
+    discordance: np.ndarray | None  # (n, n) Kendall-tau distances; only when kt_knn runs
     latent_dist: np.ndarray  # (n, n) agent-agent distances
     seed: int
 
 
-def _build_context(model: ModelConfig, seed: int, need_features: bool) -> _SeedContext:
+def _build_context(model: ModelConfig, seed: int, methods) -> _SeedContext:
     cfg = replace(model, seed=seed)
     pop = sample_population(cfg)
     rankings = sample_rankings(pop, seed=seed)
     matrix = rank_matrix(rankings, m=pop.n_alternatives)
-    features = feature_matrix(rankings, pairing_seed=seed) if need_features else None
+    features = feature_matrix(rankings, pairing_seed=seed) if "global_knn" in methods else None
+    discordance = discordance_matrix(matrix) if "kt_knn" in methods else None
     diffs = pop.agents[:, None, :] - pop.agents[None, :, :]
     latent = np.linalg.norm(diffs, axis=2)
     return _SeedContext(
-        population=pop, matrix=matrix, features=features, latent_dist=latent, seed=seed
+        population=pop,
+        matrix=matrix,
+        features=features,
+        discordance=discordance,
+        latent_dist=latent,
+        seed=seed,
     )
 
 
@@ -224,12 +231,10 @@ def _truth_probs(pop: Population, q: int, pairs: np.ndarray) -> np.ndarray:
 
 
 def _method_distances(ctx: _SeedContext, method: str, q: int) -> np.ndarray:
-    n = ctx.matrix.shape[0]
     if method == "kt_knn":
-        out = np.empty(n)
-        for j in range(n):
-            out[j] = _discordant_from_positions(ctx.matrix[q], ctx.matrix[j]) if j != q else np.inf
-        return out
+        d = ctx.discordance[q].astype(float)
+        d[q] = np.inf
+        return d
     if method == "global_knn":
         d = agent_distances_from(ctx.features, q)
         return np.where(np.isnan(d), np.inf, d)
@@ -249,11 +254,12 @@ def _query_errors(
     )
     truth = _truth_probs(ctx.population, q, pairs)
     n = ctx.matrix.shape[0]
+    depth = min(max(k_grid), n - 1)  # no k votes with more neighbors than this
     out: dict[tuple[str, int], tuple[float, float]] = {}
     for method in methods:
         dist = _method_distances(ctx, method, q)
         order = np.lexsort((np.arange(n), dist))
-        order = order[order != q]
+        order = order[order != q][:depth]
         prefer = (ctx.matrix[np.ix_(order, pairs[:, 0])] < ctx.matrix[np.ix_(order, pairs[:, 1])])
         cum_votes = np.cumsum(prefer, axis=0, dtype=np.float64)
         cum_dist = np.cumsum(ctx.latent_dist[q][order])
@@ -282,9 +288,8 @@ def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experime
     serves once as the query and errors are averaged over queries."""
     cfg.validate()
     rows = []
-    need_features = "global_knn" in cfg.methods
     for seed in cfg.replicate_seeds:
-        ctx = _build_context(cfg.model, seed, need_features)
+        ctx = _build_context(cfg.model, seed, cfg.methods)
         per_query = _map_queries(
             ctx, range(cfg.model.n_agents), cfg.methods, cfg.k_grid, cfg.pair_sample_size, n_jobs
         )
@@ -317,10 +322,9 @@ def run_error_vs_position(
     if k >= cfg.model.n_agents:
         raise ValueError("k must be below the number of agents")
     rows = []
-    need_features = "global_knn" in cfg.methods
     edges = np.linspace(0.0, cfg.model.box, POSITION_BINS + 1)
     for seed in cfg.replicate_seeds:
-        ctx = _build_context(cfg.model, seed, need_features)
+        ctx = _build_context(cfg.model, seed, cfg.methods)
         per_query = _map_queries(
             ctx, range(cfg.model.n_agents), cfg.methods, (k,), cfg.pair_sample_size, n_jobs
         )
@@ -360,11 +364,10 @@ def run_dim_sweep(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experimen
     if not cfg.dims:
         raise ValueError("dims must be nonempty")
     rows = []
-    need_features = "global_knn" in cfg.methods
     for seed in cfg.replicate_seeds:
         for dim in cfg.dims:
             model = replace(cfg.model, dim=dim, box=cfg.model.box / math.sqrt(dim))
-            ctx = _build_context(model, seed, need_features)
+            ctx = _build_context(model, seed, cfg.methods)
             per_query = _map_queries(
                 ctx, range(model.n_agents), cfg.methods, cfg.k_grid, 1, n_jobs
             )

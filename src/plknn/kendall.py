@@ -1,6 +1,18 @@
 """Kendall-tau machinery: exact distances, pair-sampled estimators, and the
 global feature matrix with its agent distance.
 
+Exact distances are integer discordant-pair counts, and one function makes
+them all: ``_count_inversions`` runs scipy's compiled merge-sort/Fenwick
+kernel (``scipy.stats._stats._kendall_dis``; Knight 1966, JASA 61:436) on the
+pair ordered by the first ranking. That kernel is private and takes 1-based
+values: a 0 in its second argument makes it loop forever, so positions are
+shifted by one and unobserved (-1) entries are refused before it is called.
+If the symbol cannot be imported, the count is recovered from the public
+``stats.kendalltau`` statistic instead; for strict orders both give the same
+integer. ``kendall_tau`` and ``nkt`` count one pair of rankings on their
+shared alternatives; ``discordance_matrix`` counts every unordered pair of a
+fully observed positions matrix once.
+
 Convention note: the per-pair indicator S_k is 1 when the pair is DISCORDANT
 between the two rankings (product of rank differences negative). Only this
 direction makes the pair-sampled estimator unbiased for the expected
@@ -18,6 +30,11 @@ from scipy import stats
 
 from . import rng
 from .rankings import Ranking, rank_matrix
+
+try:
+    from scipy.stats._stats import _kendall_dis
+except ImportError:  # private symbol; fall back to the public statistic
+    _kendall_dis = None
 
 
 def _shared_positions(r1: Ranking, r2: Ranking) -> tuple[np.ndarray, np.ndarray]:
@@ -42,14 +59,47 @@ def kendall_tau(r1: Ranking, r2: Ranking) -> int:
 
 
 def _discordant_from_positions(p1: np.ndarray, p2: np.ndarray) -> int:
-    s = p1.size
-    if s == 2:
-        return int((p1[0] - p1[1]) * (p2[0] - p2[1]) < 0)
-    # Rankings are strict orders, so there are no ties and tau-b reduces to
-    # (concordant - discordant) / C(s, 2); the count recovers exactly.
-    tau = stats.kendalltau(p1, p2).statistic
-    pairs = s * (s - 1) // 2
-    return int(round(pairs * (1.0 - tau) / 2.0))
+    """Exact count of pairs ordered oppositely by two strict position vectors
+    (0-based, nonnegative positions of the same alternatives in two rankings)."""
+    order = np.argsort(p1)
+    return _count_inversions(np.arange(1, p1.size + 1, dtype=np.intp), p2[order] + 1)
+
+
+def _count_inversions(x: np.ndarray, y: np.ndarray) -> int:
+    """Discordant pairs of (x, y), where x is 1..s ascending and y holds
+    distinct values >= 1: the second ranking's positions, shifted by one, in
+    the first ranking's order. The compiled kernel needs y >= 1; a 0 never
+    terminates."""
+    if _kendall_dis is None:
+        # Strict orders have no ties, so tau-b reduces to
+        # (concordant - discordant) / C(s, 2) and the count recovers exactly.
+        pairs = x.size * (x.size - 1) // 2
+        tau = stats.kendalltau(x, y).statistic
+        return int(round(pairs * (1.0 - tau) / 2.0))
+    return int(_kendall_dis(x, y.astype(np.intp, copy=False)))
+
+
+def discordance_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric (n, n) int64 matrix of exact Kendall-tau distances between
+    the rows of a fully observed (n, m) positions matrix; zero diagonal.
+
+    Each unordered pair is counted once. An unobserved (-1) entry raises
+    ``ValueError``: partially observed rankings compare on their shared
+    alternatives only, which ``kendall_tau`` handles.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError("positions matrix must be 2-D")
+    if matrix.size and matrix.min() < 0:
+        raise ValueError("positions matrix has unobserved (-1) entries")
+    n, m = matrix.shape
+    x = np.arange(1, m + 1, dtype=np.intp)
+    out = np.zeros((n, n), dtype=np.int64)
+    for i in range(n - 1):
+        order = np.argsort(matrix[i])
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = _count_inversions(x, matrix[j, order] + 1)
+    return out
 
 
 def nkt(r1: Ranking, r2: Ranking) -> float:

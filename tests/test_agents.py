@@ -112,6 +112,34 @@ def test_kt_knn_tie_break_and_validation():
         kt_knn(rankings, 0, 4)
 
 
+def test_query_and_selector_validation():
+    cfg = ModelConfig(n_agents=6, n_alternatives=20, dim=1, box=1.0, seed=3)
+    pop = sample_population(cfg)
+    rankings = sample_rankings(pop, seed=3)
+    feats = feature_matrix(rankings, pairing_seed=3)
+    bad_calls = [
+        lambda: kt_knn(rankings, -1, 2),  # once returned agent 5, the query itself
+        lambda: kt_knn(rankings, 6, 2),  # once an IndexError
+        lambda: kt_knn(rankings, 0, 0),  # once an empty set
+        lambda: kt_knn(rankings, 0, 2.0),
+        lambda: oracle_knn(pop, -1, 2),
+        lambda: oracle_knn(pop, 6, 2),
+        lambda: oracle_knn(pop, 0, 0),
+        lambda: global_knn(feats, -1, k=2),
+        lambda: global_knn(feats, 0, k=-1),  # once n - 2 members
+        lambda: global_knn(feats, 0, eps=float("nan")),  # once an empty set
+        lambda: global_knn(feats, 0, eps=float("inf")),
+        lambda: global_knn(feats, 0, eps=-0.1),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
+    # numpy scalars are valid indices and selectors
+    assert len(kt_knn(rankings, np.int64(5), np.int64(2)).members) == 2
+    assert 5 not in oracle_knn(pop, 5, 5).members
+    assert global_knn(feats, 0, eps=np.float64(0.0)).selector == ("threshold", 0.0)
+
+
 def test_relabeling_equivariance(small_world):
     pop, rankings, feats = small_world
     q, k = 11, 5

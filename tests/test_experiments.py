@@ -4,13 +4,16 @@ import pytest
 from plknn import (
     ExperimentConfig,
     ModelConfig,
+    kt_knn,
     read_report_csv,
     run_dim_sweep,
     run_error_vs_k,
     run_error_vs_position,
+    sample_population,
+    sample_rankings,
     write_report_csv,
 )
-from plknn.experiments import CSV_HEADER
+from plknn.experiments import CSV_HEADER, _build_context, _method_distances
 
 
 def _tiny_config(seed=0, **overrides):
@@ -37,6 +40,20 @@ def test_config_validation_and_roundtrip():
         _tiny_config(pair_sample_size=0).validate()
     with pytest.raises(ValueError):
         _tiny_config(replicate_seeds=()).validate()
+
+
+def test_context_builds_only_the_distances_its_methods_use():
+    model = _tiny_config().model
+    assert _build_context(model, 0, ("global_knn", "oracle")).discordance is None
+    ctx = _build_context(model, 0, ("kt_knn", "oracle"))
+    assert ctx.features is None
+    # the runner's Kendall row picks the same neighbors as the public kt_knn
+    rankings = sample_rankings(sample_population(model), seed=0)
+    for q in (0, 17, 39):
+        dist = _method_distances(ctx, "kt_knn", q)
+        assert dist[q] == np.inf
+        order = [j for j in np.lexsort((np.arange(dist.size), dist)) if j != q]
+        assert tuple(order[:8]) == kt_knn(rankings, q, 8).members
 
 
 def test_config_hash_sensitivity():

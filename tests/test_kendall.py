@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,15 +11,18 @@ from plknn import (
     ModelConfig,
     Ranking,
     agent_distance,
+    discordance_matrix,
     enkt_feature,
     feature_matrix,
     kendall_tau,
     kendall_tau_naive,
     make_pairing,
     nkt,
+    rank_matrix,
     sample_population,
     sample_rankings,
 )
+import plknn.kendall
 from plknn.kendall import (
     agent_distances_from,
     read_features_binary,
@@ -101,6 +105,81 @@ def test_fast_matches_naive_on_partial():
         if np.intersect1d(r1.observed, r2.observed).size < 2:
             continue
         assert kendall_tau(r1, r2) == kendall_tau_naive(r1, r2)
+
+
+@st.composite
+def _permutation_sets(draw):
+    m = draw(st.integers(2, 30))
+    n = draw(st.integers(1, 6))
+    return [draw(st.permutations(range(m))) for _ in range(n)]
+
+
+@st.composite
+def _partial_pairs(draw):
+    """Two rankings over their own subsets of range(m), sharing s >= 2
+    alternatives; s = 2 and s = 3 are drawn as often as larger overlaps."""
+    m = draw(st.integers(2, 30))
+    alts = draw(st.permutations(range(m)))
+    s = draw(st.sampled_from(sorted({2, min(3, m), m})))
+    shared, rest = alts[:s], alts[s:]
+    cut = draw(st.integers(0, len(rest)))
+    o1 = draw(st.permutations(shared + rest[:cut]))
+    o2 = draw(st.permutations(shared + rest[cut:]))
+    return Ranking.from_order(o1), Ranking.from_order(o2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_permutation_sets())
+def test_discordance_matrix_matches_naive(orders):
+    rankings = [_perm_ranking(o) for o in orders]
+    d = discordance_matrix(rank_matrix(rankings))
+    n = len(rankings)
+    assert d.shape == (n, n) and d.dtype == np.int64
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0)
+    for i, j in itertools.combinations(range(n), 2):
+        assert d[i, j] == kendall_tau_naive(rankings[i], rankings[j])
+
+
+@settings(deadline=None, max_examples=80)
+@given(_partial_pairs())
+def test_fast_matches_naive_on_partial_property(pair):
+    r1, r2 = pair
+    assert kendall_tau(r1, r2) == kendall_tau_naive(r1, r2)
+
+
+def test_discordance_matrix_rejects_unobserved_without_hanging():
+    # the compiled kernel loops forever on a 0 after the +1 shift, so the
+    # call runs in a thread with a deadline
+    matrix = np.array([[0, 1, 2, 3], [3, 2, -1, 0], [1, 0, 3, 2]])
+    outcome = []
+
+    def call():
+        try:
+            discordance_matrix(matrix)
+        except ValueError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "discordance_matrix hung on an unobserved entry"
+    assert len(outcome) == 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(_permutation_sets(), _partial_pairs())
+def test_public_fallback_gives_identical_counts(orders, pair):
+    rankings = [_perm_ranking(o) for o in orders]
+    matrix = rank_matrix(rankings)
+    fast = discordance_matrix(matrix), kendall_tau(*pair)
+    saved = plknn.kendall._kendall_dis
+    plknn.kendall._kendall_dis = None
+    try:
+        slow = discordance_matrix(matrix), kendall_tau(*pair)
+    finally:
+        plknn.kendall._kendall_dis = saved
+    assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1]
 
 
 def test_nkt_random_rankings_concentrate_at_half():
