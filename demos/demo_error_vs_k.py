@@ -7,7 +7,7 @@ ground-truth pairwise probability. Prints the error table per (method, k)
 and each method's best error, mirroring the synthetic benchmark layout.
 
 Pass --full for the full-scale configuration (1200 agents, 6000
-alternatives, 25 k values; takes on the order of an hour).
+alternatives, 25 k values; about 5 minutes, 298 s measured on 2 vCPUs).
 """
 
 import argparse

@@ -33,7 +33,6 @@ from .experiments import (
 )
 from .kendall import (
     FeatureMatrix,
-    FeatureVector,
     agent_distance,
     discordance_matrix,
     enkt_feature,

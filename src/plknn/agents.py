@@ -28,7 +28,8 @@ class NeighborSet:
 
     ``selector`` is ("top_k", k) or ("threshold", eps). In top-k mode
     ``members`` has min(k, n-1) entries; in threshold mode it holds every
-    agent within the threshold. The query never appears among the members.
+    agent within the threshold. The query never appears among the members,
+    which are stored as a tuple of ints.
     """
 
     query: int
@@ -37,6 +38,7 @@ class NeighborSet:
     selector: tuple[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(int(j) for j in self.members))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.query in self.members:
@@ -65,12 +67,25 @@ def _check_query(n: int, query, k=None, eps=None) -> None:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 
-def _top_k(distances: np.ndarray, query: int, k: int) -> tuple[int, ...]:
-    """Indices of the k smallest distances, query excluded, ties by index."""
+def neighbor_order(distances: np.ndarray, query: int, count: int) -> np.ndarray:
+    """Indices of the min(count, n - 1) smallest distances, nearest first,
+    query excluded, ties broken by ascending index."""
     n = distances.size
     order = np.lexsort((np.arange(n), distances))
-    order = order[order != query]
-    return tuple(int(j) for j in order[: min(k, n - 1)])
+    return order[order != query][: min(count, n - 1)]
+
+
+def global_distances(features: FeatureMatrix, query: int) -> np.ndarray:
+    """Global-feature agent distances from the query (inf at the query)."""
+    d = agent_distances_from(features, query)
+    return np.where(np.isnan(d), np.inf, d)
+
+
+def oracle_distances(population: Population, query: int) -> np.ndarray:
+    """Latent Euclidean distances from the query agent (inf at the query)."""
+    d = np.linalg.norm(population.agents - population.agents[query], axis=1)
+    d[query] = np.inf
+    return d
 
 
 def kt_knn(rankings: list[Ranking], query: int, k: int) -> NeighborSet:
@@ -84,12 +99,7 @@ def kt_knn(rankings: list[Ranking], query: int, k: int) -> NeighborSet:
         [kendall_tau(rankings[query], rankings[j]) if j != query else np.inf for j in range(n)],
         dtype=float,
     )
-    return NeighborSet(
-        query=int(query),
-        members=_top_k(distances, query, k),
-        method="kt_knn",
-        selector=("top_k", k),
-    )
+    return NeighborSet(int(query), neighbor_order(distances, query, k), "kt_knn", ("top_k", k))
 
 
 def global_knn(
@@ -109,25 +119,18 @@ def global_knn(
     if features.n_agents < 3:
         raise ValueError("need at least 3 agents")
     _check_query(features.n_agents, query, k=k, eps=eps)
-    distances = agent_distances_from(features, query)
+    distances = global_distances(features, query)
     if eps is not None:
-        members = tuple(
-            int(j)
-            for j in range(features.n_agents)
-            if j != query and distances[j] <= eps
-        )
+        members = np.flatnonzero(distances <= eps)
         return NeighborSet(int(query), members, "global_knn", ("threshold", float(eps)))
-    distances = np.where(np.isnan(distances), np.inf, distances)
-    return NeighborSet(int(query), _top_k(distances, query, k), "global_knn", ("top_k", k))
+    return NeighborSet(int(query), neighbor_order(distances, query, k), "global_knn", ("top_k", k))
 
 
 def oracle_knn(population: Population, query: int, k: int) -> NeighborSet:
     """The k agents truly closest to the query in latent space."""
     _check_query(population.n_agents, query, k=k)
-    diffs = population.agents - population.agents[query]
-    distances = np.linalg.norm(diffs, axis=1)
-    distances[query] = np.inf
-    return NeighborSet(int(query), _top_k(distances, query, k), "oracle", ("top_k", k))
+    distances = oracle_distances(population, query)
+    return NeighborSet(int(query), neighbor_order(distances, query, k), "oracle", ("top_k", k))
 
 
 def predict_pair(neighbors: NeighborSet, rankings: list[Ranking], a: int, b: int) -> float:
@@ -136,16 +139,10 @@ def predict_pair(neighbors: NeighborSet, rankings: list[Ranking], a: int, b: int
     Neighbors that do not observe both alternatives are skipped; at least one
     usable neighbor is required.
     """
-    votes = []
-    for j in neighbors.members:
-        r = rankings[j]
-        try:
-            votes.append(r.rank_of(a) < r.rank_of(b))
-        except KeyError:
-            continue
-    if not votes:
-        raise ValueError("no neighbor ranks both alternatives")
-    return float(np.mean(votes))
+    matrix = rank_matrix([rankings[j] for j in neighbors.members])
+    if not (0 <= a < matrix.shape[1] and 0 <= b < matrix.shape[1]):
+        raise ValueError(f"no neighbor ranks both {a} and {b}")
+    return float(vote_probabilities(matrix, range(matrix.shape[0]), np.array([[a, b]]))[0])
 
 
 def sample_pairs(m: int, count: int, generator: np.random.Generator) -> np.ndarray:
@@ -184,14 +181,14 @@ def prediction_error(
 
     matrix = rank_matrix(rankings, m=population.n_alternatives)
     votes = vote_probabilities(matrix, neighbors.members, pair_sample)
-    x_q = population.agents[query]
-    truth = np.array(
-        [
-            pairwise_prob(x_q, population.alternatives[a], population.alternatives[b])
-            for a, b in pair_sample
-        ]
-    )
+    truth = true_probabilities(population, query, pair_sample)
     return float(np.mean(np.abs(votes - truth)))
+
+
+def true_probabilities(population: Population, query: int, pair_sample: np.ndarray) -> np.ndarray:
+    """Ground-truth probability that the query prefers a to b, per sampled pair (a, b)."""
+    y = population.alternatives[pair_sample]
+    return pairwise_prob(population.agents[query], y[:, 0], y[:, 1])
 
 
 def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> np.ndarray:

@@ -46,14 +46,14 @@ class HalfStat:
             raise ValueError("half statistic must lie in [0, 1]")
 
 
-def _positions(rankings, m: int | None = None) -> np.ndarray:
+def _positions(rankings) -> np.ndarray:
     """Rankings may be given as a list or directly as a position matrix
     ((n, m), -1 marking unobserved), which large-population callers prefer."""
     if isinstance(rankings, np.ndarray):
         if rankings.ndim != 2:
             raise ValueError("position matrix must be 2-D")
         return rankings
-    return rank_matrix(rankings, m=m)
+    return rank_matrix(rankings)
 
 
 def sign_distance(rankings: list[Ranking], a: int, b: int) -> float:
@@ -94,12 +94,9 @@ def candidate_set(rankings: list[Ranking], a: int, ell: float) -> CandidateSet:
     """All alternatives whose sign distance to ``a`` is at most 1/ell."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    matrix = _positions(rankings)
-    distances = _sign_distance_columns(matrix, a)
-    members = [a]
-    for b in range(matrix.shape[1]):
-        if b != a and not np.isnan(distances[b]) and distances[b] <= 1.0 / ell:
-            members.append(b)
+    distances = _sign_distance_columns(_positions(rankings), a)
+    # NaN entries (the query itself, pairs no agent ranks) compare False
+    members = [a, *np.flatnonzero(distances <= 1.0 / ell).tolist()]
     return CandidateSet(query=int(a), members=tuple(sorted(members)), ell=float(ell))
 
 
@@ -114,15 +111,21 @@ def _first_half(matrix: np.ndarray) -> np.ndarray:
     return (matrix >= 0) & (matrix < boundary[:, None])
 
 
+def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
+    """Half statistic of ``a`` against each alternative in ``others``: the
+    fraction of the agents ranking both that put the two in the same half."""
+    usable = (matrix[:, a, None] >= 0) & (matrix[:, others] >= 0)
+    counts = usable.sum(axis=0)
+    if np.any(counts == 0):
+        raise ValueError(f"no agent ranks both {a} and {others[int(np.argmin(counts))]}")
+    halves = _first_half(matrix)
+    same = (halves[:, a, None] == halves[:, others]) & usable
+    return same.sum(axis=0) / counts
+
+
 def half_stat(rankings: list[Ranking], a: int, b: int) -> HalfStat:
     """Fraction of co-ranking agents placing ``a`` and ``b`` in the same half."""
-    matrix = _positions(rankings)
-    usable = (matrix[:, a] >= 0) & (matrix[:, b] >= 0)
-    if not usable.any():
-        raise ValueError("no agent ranks both alternatives")
-    halves = _first_half(matrix)
-    same = halves[usable, a] == halves[usable, b]
-    return HalfStat(value=float(np.mean(same)))
+    return HalfStat(value=float(_half_stats(_positions(rankings), a, [b])[0]))
 
 
 def two_means_1d(values) -> tuple[np.ndarray, np.ndarray]:
@@ -154,43 +157,54 @@ def two_means_1d(values) -> tuple[np.ndarray, np.ndarray]:
     return labels, centroids
 
 
-def split_cluster(rankings: list[Ranking], a: int, candidates: CandidateSet) -> set[int]:
+@dataclass(frozen=True, eq=False)
+class SplitStep:
+    """The split step for one query alternative: the candidates other than
+    the query (none when fewer than two), their half statistics, 2-means
+    labels (0 = smaller centroid) and centroids, and the kept set."""
+
+    clustered: tuple[int, ...]
+    stats: np.ndarray
+    labels: np.ndarray
+    centroids: np.ndarray
+    kept: frozenset[int]
+
+
+def split_step(rankings: list[Ranking], a: int, candidates: CandidateSet) -> SplitStep:
     """Keep the candidate cluster co-located with the query alternative.
 
     Computes the half statistic for every candidate, 2-means-clusters the 1-D
-    values exactly, and returns the cluster with the larger centroid (agents
+    values exactly, and keeps the cluster with the larger centroid (agents
     put co-located alternatives in the same half far more often than mirror
     images). When the centroid gap falls below 2/sqrt(n_agents), the noise
     scale of the statistic, the clusters are indistinguishable - the query
     sits near the box midpoint and no filtering is needed - so the whole
-    candidate set is returned.
+    candidate set is kept.
     """
     members = [int(b) for b in candidates.members]
     if not members:
         raise ValueError("candidate set is empty")
-    others = [b for b in members if b != a]
-    if len(others) < 2:
-        return set(members)
-    matrix = _positions(rankings)
-    halves = _first_half(matrix)
-    usable_a = matrix[:, a] >= 0
-    stats = np.empty(len(others), dtype=float)
-    for idx, b in enumerate(others):
-        usable = usable_a & (matrix[:, b] >= 0)
-        if not usable.any():
-            raise ValueError(f"no agent ranks both {a} and {b}")
-        stats[idx] = np.mean(halves[usable, a] == halves[usable, b])
     # the query itself is always kept; its degenerate self-statistic (1.0)
     # must not take part in the clustering
+    others = [b for b in members if b != a]
+    if len(others) < 2:
+        empty = np.empty(0)
+        return SplitStep((), empty, empty.astype(np.int64), empty, frozenset(members))
+    stats = _half_stats(_positions(rankings), a, others)
     labels, centroids = two_means_1d(stats)
-    gap = abs(centroids[1] - centroids[0])
-    if gap < 2.0 / math.sqrt(len(rankings)):
-        return set(members)
-    keep = int(np.argmax(centroids))
-    kept = {b for b, lab in zip(others, labels) if lab == keep}
-    if a in members:
-        kept.add(a)
-    return kept
+    if abs(centroids[1] - centroids[0]) < 2.0 / math.sqrt(len(rankings)):
+        kept = members
+    else:
+        keep = int(np.argmax(centroids))
+        kept = [b for b, lab in zip(others, labels) if lab == keep]
+        if a in members:
+            kept.append(a)
+    return SplitStep(tuple(others), stats, labels, centroids, frozenset(kept))
+
+
+def split_cluster(rankings: list[Ranking], a: int, candidates: CandidateSet) -> set[int]:
+    """The neighbor set kept by ``split_step``."""
+    return set(split_step(rankings, a, candidates).kept)
 
 
 def alt_neighbors(rankings: list[Ranking], a: int, ell: float) -> set[int]:

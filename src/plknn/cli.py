@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import global_knn, kt_knn, oracle_knn
-from .alternatives import candidate_set, half_stat, split_cluster, two_means_1d
+from .alternatives import candidate_set, split_step
 from .experiments import (
     ExperimentConfig,
     run_dim_sweep,
@@ -122,22 +122,16 @@ def _cmd_alt_sim(args) -> int:
         "candidates": list(candidates.members),
     }
     if cfg.dim == 1:
-        stats = {int(b): half_stat(rankings, args.query, b).value for b in candidates.members}
-        labels, centroids = (
-            two_means_1d(np.array(list(stats.values())))
-            if len(stats) > 1
-            else (np.zeros(1, dtype=int), np.array([next(iter(stats.values()))] * 2))
-        )
-        final = split_cluster(rankings, args.query, candidates)
+        step = split_step(rankings, args.query, candidates)
         payload.update(
             {
-                "half_stats": stats,
+                "half_stats": {b: float(v) for b, v in zip(step.clustered, step.stats)},
                 "clusters": {
-                    str(int(lab)): [int(b) for b, l in zip(stats, labels) if l == lab]
-                    for lab in np.unique(labels)
+                    str(lab): [b for b, l in zip(step.clustered, step.labels) if l == lab]
+                    for lab in np.unique(step.labels).tolist()
                 },
-                "centroids": [float(c) for c in centroids],
-                "final": sorted(int(b) for b in final),
+                "centroids": step.centroids.tolist(),
+                "final": sorted(step.kept),
             }
         )
     else:

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng
+from . import agents, rng
 from .agents import METHODS, sample_pairs
-from .kendall import FeatureMatrix, agent_distances_from, discordance_matrix, feature_matrix
-from .latent import ModelConfig, Population, sample_population
+from .kendall import FeatureMatrix, discordance_matrix, feature_matrix
+from .latent import ModelConfig, Population, check_field_types, config_keys, sample_population
 from .rankings import rank_matrix, sample_rankings
 
 CSV_HEADER = "method,k,dim,seed,query_bin,error_mean,error_stderr,neighbor_dist_mean,config_hash"
@@ -41,6 +41,7 @@ class ExperimentConfig:
     replicate_seeds: tuple[int, ...] = (0,)
 
     def validate(self) -> None:
+        check_field_types(self)
         self.model.validate()
         if not self.k_grid or list(self.k_grid) != sorted(set(self.k_grid)):
             raise ValueError("k_grid must be sorted ascending without duplicates")
@@ -71,10 +72,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
+        data = config_keys(cls, data)
         data["model"] = ModelConfig.from_dict(data["model"])
         for key in ("k_grid", "methods", "dims", "replicate_seeds"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         cfg = cls(**data)
         cfg.validate()
@@ -200,7 +201,6 @@ class _SeedContext:
     matrix: np.ndarray
     features: FeatureMatrix | None  # built only when global_knn runs
     discordance: np.ndarray | None  # (n, n) Kendall-tau distances; only when kt_knn runs
-    latent_dist: np.ndarray  # (n, n) agent-agent distances
     seed: int
 
 
@@ -211,23 +211,9 @@ def _build_context(model: ModelConfig, seed: int, methods) -> _SeedContext:
     matrix = rank_matrix(rankings, m=pop.n_alternatives)
     features = feature_matrix(rankings, pairing_seed=seed) if "global_knn" in methods else None
     discordance = discordance_matrix(matrix) if "kt_knn" in methods else None
-    diffs = pop.agents[:, None, :] - pop.agents[None, :, :]
-    latent = np.linalg.norm(diffs, axis=2)
     return _SeedContext(
-        population=pop,
-        matrix=matrix,
-        features=features,
-        discordance=discordance,
-        latent_dist=latent,
-        seed=seed,
+        population=pop, matrix=matrix, features=features, discordance=discordance, seed=seed
     )
-
-
-def _truth_probs(pop: Population, q: int, pairs: np.ndarray) -> np.ndarray:
-    x_q = pop.agents[q]
-    da = np.linalg.norm(pop.alternatives[pairs[:, 0]] - x_q, axis=1)
-    db = np.linalg.norm(pop.alternatives[pairs[:, 1]] - x_q, axis=1)
-    return 0.5 * (1.0 + np.tanh(0.5 * (db - da)))
 
 
 def _method_distances(ctx: _SeedContext, method: str, q: int) -> np.ndarray:
@@ -236,13 +222,8 @@ def _method_distances(ctx: _SeedContext, method: str, q: int) -> np.ndarray:
         d[q] = np.inf
         return d
     if method == "global_knn":
-        d = agent_distances_from(ctx.features, q)
-        return np.where(np.isnan(d), np.inf, d)
-    if method == "oracle":
-        d = ctx.latent_dist[q].copy()
-        d[q] = np.inf
-        return d
-    raise ValueError(f"unknown method {method!r}")
+        return agents.global_distances(ctx.features, q)
+    return agents.oracle_distances(ctx.population, q)  # methods are checked by the config
 
 
 def _query_errors(
@@ -252,19 +233,18 @@ def _query_errors(
     pairs = sample_pairs(
         ctx.population.n_alternatives, pair_count, rng.substream(ctx.seed, rng.PAIR_SAMPLE, q)
     )
-    truth = _truth_probs(ctx.population, q, pairs)
-    n = ctx.matrix.shape[0]
-    depth = min(max(k_grid), n - 1)  # no k votes with more neighbors than this
+    truth = agents.true_probabilities(ctx.population, q, pairs)
+    latent = agents.oracle_distances(ctx.population, q)
     out: dict[tuple[str, int], tuple[float, float]] = {}
     for method in methods:
-        dist = _method_distances(ctx, method, q)
-        order = np.lexsort((np.arange(n), dist))
-        order = order[order != q][:depth]
+        dist = latent if method == "oracle" else _method_distances(ctx, method, q)
+        # no k votes with more neighbors than the largest k
+        order = agents.neighbor_order(dist, q, max(k_grid))
         prefer = (ctx.matrix[np.ix_(order, pairs[:, 0])] < ctx.matrix[np.ix_(order, pairs[:, 1])])
         cum_votes = np.cumsum(prefer, axis=0, dtype=np.float64)
-        cum_dist = np.cumsum(ctx.latent_dist[q][order])
+        cum_dist = np.cumsum(latent[order])
         for k in k_grid:
-            kk = min(k, n - 1)
+            kk = min(k, order.size)
             votes = cum_votes[kk - 1] / kk
             err = float(np.mean(np.abs(votes - truth)))
             out[(method, k)] = (err, float(cum_dist[kk - 1] / kk))

@@ -21,9 +21,7 @@ normalized Kendall-tau distance, which is what every downstream bound needs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -143,19 +141,6 @@ def enkt_feature(r1: Ranking, r2: Ranking, pairing) -> float:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One agent's row of pair-sampled discordance frequencies."""
-
-    owner: int
-    values: np.ndarray  # length n; entry at owner is NaN
-
-    def __getitem__(self, j: int) -> float:
-        if j == self.owner:
-            raise KeyError("feature against itself is undefined")
-        return float(self.values[j])
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Symmetric (n, n) matrix of pair-sampled NKT estimates F[i, j].
 
@@ -171,14 +156,6 @@ class FeatureMatrix:
     @property
     def n_agents(self) -> int:
         return self.values.shape[0]
-
-    def vector(self, i: int) -> FeatureVector:
-        row = self.values[i].astype(float).copy()
-        row[i] = np.nan
-        return FeatureVector(owner=int(i), values=row)
-
-    def vectors(self) -> list[FeatureVector]:
-        return [self.vector(i) for i in range(self.n_agents)]
 
 
 def feature_matrix(rankings: list[Ranking], pairing_seed: int) -> FeatureMatrix:
@@ -200,9 +177,11 @@ def feature_matrix(rankings: list[Ranking], pairing_seed: int) -> FeatureMatrix:
     )
     if full:
         pairing = make_pairing(first, pairing_seed)
+        p = pairing.shape[0]
+        if p == 0:
+            raise ValueError("rankings share fewer than 2 alternatives")
         matrix = rank_matrix(rankings, m=int(first[-1]) + 1)
         signs = np.sign(matrix[:, pairing[:, 0]] - matrix[:, pairing[:, 1]]).astype(np.float32)
-        p = pairing.shape[0]
         agree = signs @ signs.T  # in [-p, p]
         values = (p - agree) / (2.0 * p)
         np.fill_diagonal(values, 0.0)
@@ -258,36 +237,3 @@ def agent_distances_from(features: FeatureMatrix, i: int) -> np.ndarray:
     out[i] = np.nan
     return out
 
-
-def write_features_csv(features: FeatureMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write("i,j,f\n")
-        n = features.n_agents
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    fp.write(f"{i},{j},{features.values[i, j]:.17g}\n")
-
-
-def read_features_csv(path) -> FeatureMatrix:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [ln.split(",") for ln in lines[1:] if ln.strip()]
-    n = 1 + max(int(row[0]) for row in body)
-    values = np.zeros((n, n), dtype=float)
-    for i_s, j_s, f_s in body:
-        values[int(i_s), int(j_s)] = float(f_s)
-    return FeatureMatrix(values=values, n_pairs=0)
-
-
-def write_features_binary(features: FeatureMatrix, path) -> None:
-    """Row-major float64 dump with an 8-byte little-endian header holding n."""
-    with open(path, "wb") as fp:
-        fp.write(struct.pack("<Q", features.n_agents))
-        fp.write(np.ascontiguousarray(features.values, dtype="<f8").tobytes())
-
-
-def read_features_binary(path) -> FeatureMatrix:
-    raw = Path(path).read_bytes()
-    (n,) = struct.unpack("<Q", raw[:8])
-    values = np.frombuffer(raw[8:], dtype="<f8").reshape(n, n).copy()
-    return FeatureMatrix(values=values, n_pairs=0)

@@ -7,8 +7,11 @@ which induces the ground-truth pairwise preference probabilities.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
 from typing import IO
 
 import numpy as np
@@ -19,6 +22,35 @@ from . import rng
 LatentPoint = np.ndarray
 
 _DIST_KINDS = ("uniform", "near_uniform")
+# resolving string annotations is slow; each config class is resolved once
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def config_keys(cls, data) -> dict:
+    """Copy of the JSON object ``data`` once its keys match the fields of ``cls``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    missing = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING} - set(data)
+    if unknown or missing:
+        raise ValueError(f"{cls.__name__} unknown: {sorted(unknown)}, missing: {sorted(missing)}")
+    return dict(data)
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError unless every field of the config dataclass holds its
+    annotated type: ``int`` and ``float`` accept any integral or real number
+    but not a bool, and a ``tuple[T, ...]`` field accepts a list."""
+    for name, hint in _type_hints(type(config)).items():
+        value = getattr(config, name)
+        sequence = typing.get_origin(hint) is tuple
+        kind = typing.get_args(hint)[0] if sequence else hint
+        kind = {int: Integral, float: Real}.get(kind, kind)
+        values = value if sequence else (value,)
+        if not isinstance(values, (tuple, list)) or any(
+            isinstance(v, bool) or not isinstance(v, kind) for v in values
+        ):
+            raise ValueError(f"{type(config).__name__}.{name} has the wrong type: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +68,7 @@ class DistSpec:
     cells: int = 8
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.kind not in _DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not np.isfinite(self.ratio) or self.ratio < 1.0:
@@ -69,7 +102,7 @@ class DistSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistSpec":
-        spec = cls(**data)
+        spec = cls(**config_keys(cls, data))
         spec.validate()
         return spec
 
@@ -92,6 +125,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.n_agents < 1 or self.n_alternatives < 1:
             raise ValueError("population sizes must be positive")
         if self.dim < 1:
@@ -132,7 +166,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        data = dict(data)
+        data = config_keys(cls, data)
         data["dist_x"] = DistSpec.from_dict(data.get("dist_x", {"kind": "uniform"}))
         data["dist_y"] = DistSpec.from_dict(data.get("dist_y", {"kind": "uniform"}))
         cfg = cls(**data)
@@ -202,15 +236,20 @@ def utility(x: LatentPoint, y: LatentPoint) -> float:
     return float(np.exp(-np.linalg.norm(x - y)))
 
 
-def pairwise_prob(x: LatentPoint, y1: LatentPoint, y2: LatentPoint) -> float:
+def preference_prob(d1, d2):
+    """Probability of preferring the alternative at latent distance ``d1``
+    to the one at ``d2``: u1 / (u1 + u2) = 1 / (1 + exp(d1 - d2)) for the
+    RBF utility, written with tanh to stay stable for large gaps."""
+    return 0.5 * (1.0 + np.tanh(0.5 * (d2 - d1)))
+
+
+def pairwise_prob(x: LatentPoint, y1: LatentPoint, y2: LatentPoint):
     """Ground-truth probability that the agent at ``x`` prefers ``y1`` to ``y2``.
 
     Equals u(x,y1) / (u(x,y1) + u(x,y2)): the two-alternative restriction of
-    the sequential-choice ranking model.
+    the sequential-choice ranking model. ``y1`` and ``y2`` may be (count, dim)
+    arrays of alternatives, giving one probability per row.
     """
     x, y1 = _as_points(x, y1)
     x, y2 = _as_points(x, y2)
-    d1 = np.linalg.norm(x - y1)
-    d2 = np.linalg.norm(x - y2)
-    # 1 / (1 + exp(d1 - d2)), written to stay stable for large gaps
-    return float(0.5 * (1.0 + np.tanh(0.5 * (d2 - d1))))
+    return preference_prob(np.linalg.norm(y1 - x, axis=-1), np.linalg.norm(y2 - x, axis=-1))

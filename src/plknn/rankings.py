@@ -11,7 +11,6 @@ in the tests.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,7 +189,7 @@ def restrict_ranking(r: Ranking, subset) -> Ranking:
 def rank_matrix(rankings: list[Ranking], m: int | None = None) -> np.ndarray:
     """(n, m) matrix of 0-based positions; -1 marks unobserved alternatives."""
     if m is None:
-        m = 1 + max(int(r.observed[-1]) for r in rankings)
+        m = 1 + max((int(r.observed[-1]) for r in rankings), default=-1)
     out = np.full((len(rankings), m), -1, dtype=np.int64)
     for i, r in enumerate(rankings):
         out[i, r.order] = np.arange(len(r))
@@ -242,14 +241,21 @@ def write_rankings_csv(rankings: list[Ranking], path, n: int, m: int, seed: int)
 
 
 def read_rankings_csv(path) -> tuple[list[Ranking], dict]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
+    """Read a file written by ``write_rankings_csv``; a malformed row raises ``ValueError``."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
     header = dict(kv.split("=") for kv in lines[0].split(","))
     meta = {"n": int(header["n"]), "m": int(header["m"]), "seed": int(header["seed"])}
-    rankings: list[Ranking] = [None] * meta["n"]  # type: ignore[list-item]
+    n, m = meta["n"], meta["m"]
+    rankings: list[Ranking] = [None] * n  # type: ignore[list-item]
     for line in lines[1:]:
-        fields = [int(v) for v in line.split(",")]
-        rankings[fields[0]] = Ranking.from_order(fields[1:])
+        agent, *order = (int(v) for v in line.split(","))
+        if not 0 <= agent < n:
+            raise ValueError(f"agent id {agent} outside [0, {n})")
+        if rankings[agent] is not None:
+            raise ValueError(f"duplicate row for agent {agent}")
+        if not all(0 <= j < m for j in order):
+            raise ValueError(f"agent {agent} ranks an alternative id outside [0, {m})")
+        rankings[agent] = Ranking.from_order(order)
     if any(r is None for r in rankings):
         raise ValueError("rankings file is missing agents")
     return rankings, meta

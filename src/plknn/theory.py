@@ -17,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import rng
 from .kendall import agent_distance, feature_matrix
-from .latent import Population
+from .latent import Population, preference_prob
 from .rankings import sample_rankings
 
 
@@ -83,18 +83,12 @@ def _jsonable(obj):
     return obj
 
 
-def _pair_prob(x, y1, y2):
-    """P[y1 preferred to y2 | agent at x], vectorized over 1-D arrays."""
-    d1 = np.abs(np.asarray(y1, dtype=float) - x)
-    d2 = np.abs(np.asarray(y2, dtype=float) - x)
-    return 0.5 * (1.0 + np.tanh(0.5 * (d2 - d1)))
-
-
 def expected_nkt_pair(x_q: float, x: float, y1, y2):
     """Conditional discordance probability of one alternative pair between
     agents at ``x_q`` and ``x``: p_x (1 - p_q) + p_q (1 - p_x)."""
-    p_q = _pair_prob(x_q, y1, y2)
-    p_x = _pair_prob(x, y1, y2)
+    y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+    p_q = preference_prob(np.abs(y1 - x_q), np.abs(y2 - x_q))
+    p_x = preference_prob(np.abs(y1 - x), np.abs(y2 - x))
     return p_x * (1.0 - p_q) + p_q * (1.0 - p_x)
 
 
@@ -188,16 +182,7 @@ def example_deterministic_kt(x2: float) -> int:
 def example_expected_kt(x2):
     """E[KT] between the fixed agent's noisy order and that of an agent at
     ``x2`` over the two fixed alternatives (closed form)."""
-    p1 = _pair_prob(EXAMPLE_X1, EXAMPLE_Y1, EXAMPLE_Y2)
-    p2 = _pair_prob(np.asarray(x2, dtype=float), EXAMPLE_Y1, EXAMPLE_Y2)
-    return p1 * (1.0 - p2) + p2 * (1.0 - p1)
-
-
-def example_expected_kt_complement(x2):
-    """Probability that the two noisy orders agree; complements example_expected_kt."""
-    p1 = _pair_prob(EXAMPLE_X1, EXAMPLE_Y1, EXAMPLE_Y2)
-    p2 = _pair_prob(np.asarray(x2, dtype=float), EXAMPLE_Y1, EXAMPLE_Y2)
-    return p1 * p2 + (1.0 - p1) * (1.0 - p2)
+    return expected_nkt_pair(EXAMPLE_X1, np.asarray(x2, dtype=float), EXAMPLE_Y1, EXAMPLE_Y2)
 
 
 def example_one(span: tuple[float, float] = (-2.0, 2.0), step: float = 0.01) -> dict:

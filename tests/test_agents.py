@@ -172,8 +172,11 @@ def test_predict_pair_basics():
     partial = [Ranking.from_order([0, 1]), Ranking.from_order([2, 3])]
     ns = NeighborSet(9, (0, 1), "oracle", ("top_k", 2))
     assert predict_pair(ns, partial, 0, 1) == 1.0
-    with pytest.raises(ValueError):
-        predict_pair(ns, partial, 0, 3)
+    for a, b in ((0, 3), (-1, 0), (0, -2), (0, 9)):  # unobserved or not an alternative
+        with pytest.raises(ValueError):
+            predict_pair(ns, partial, a, b)
+    with pytest.raises(ValueError, match="no neighbor ranks both"):
+        predict_pair(NeighborSet(9, (), "global_knn", ("threshold", 0.0)), partial, 0, 1)
 
 
 def test_prediction_consistency_with_truth():

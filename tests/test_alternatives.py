@@ -19,7 +19,7 @@ from plknn import (
     two_means_1d,
 )
 from plknn import rng
-from plknn.alternatives import _first_half, _sign_distance_columns
+from plknn.alternatives import _first_half, _half_stats, _sign_distance_columns
 from plknn.rankings import positions_matrix, rank_matrix
 
 
@@ -120,6 +120,23 @@ def test_half_stat_odd_length_boundary():
     halves = _first_half(rank_matrix([r], m=5))
     assert halves[0, 4] and halves[0, 0] and halves[0, 3]
     assert not halves[0, 1] and not halves[0, 2]
+
+
+def test_half_stats_equal_the_per_pair_mean():
+    # the vectorized statistics are bit-equal to one masked mean per pair,
+    # with unobserved entries skipped
+    cfg = ModelConfig(n_agents=300, n_alternatives=25, dim=1, box=5.0, seed=8)
+    for c_obs in (1.0, 1.7):
+        matrix = rank_matrix(sample_rankings(sample_population(cfg), seed=8, c_obs=c_obs), m=25)
+        halves = _first_half(matrix)
+        others = [b for b in range(25) if b != 4]
+        expected = []
+        for b in others:
+            usable = (matrix[:, 4] >= 0) & (matrix[:, b] >= 0)
+            expected.append(np.mean(halves[usable, 4] == halves[usable, b]))
+        assert np.array_equal(_half_stats(matrix, 4, others), expected)
+    with pytest.raises(ValueError, match="no agent ranks both 0 and 2"):
+        _half_stats(rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 1])]), 0, [1, 2])
 
 
 def test_half_stat_co_location_beats_mirror():

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from plknn import ExperimentConfig, ModelConfig
+from plknn import ExperimentConfig, ModelConfig, candidate_set, sample_population
+from plknn import sample_rankings, split_cluster
 from plknn.cli import EXIT_FAILED, EXIT_OK, main
 from plknn.experiments import read_report_csv
 
@@ -98,6 +100,30 @@ def test_alt_sim(model_config_file, capsys):
     assert "half_stats" in payload and "final" in payload and "clusters" in payload
 
 
+def test_alt_sim_prints_the_split_that_split_cluster_used(tmp_path, capsys):
+    # box 5 separates the two clusters: the centroid gap (about 0.31) clears
+    # the merge threshold 2/sqrt(200) (about 0.14), so a cluster is dropped
+    cfg = ModelConfig(n_agents=200, n_alternatives=20, dim=1, box=5.0, seed=3)
+    path = tmp_path / "m.json"
+    path.write_text(cfg.to_json())
+    assert main(["alt-sim", "--query", "0", "--ell", "1", "--config", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    others = [b for b in payload["candidates"] if b != 0]
+    assert sorted(int(b) for b in payload["half_stats"]) == others
+    assert sorted(sum(payload["clusters"].values(), [])) == others
+    centroids = payload["centroids"]
+    assert abs(centroids[1] - centroids[0]) > 2 / np.sqrt(200)
+    for label, members in payload["clusters"].items():
+        stats = [payload["half_stats"][str(b)] for b in members]
+        assert centroids[int(label)] == pytest.approx(np.mean(stats), abs=1e-12)
+    larger = payload["clusters"][str(int(np.argmax(centroids)))]
+    assert payload["final"] == sorted([0, *larger])
+    assert len(payload["final"]) < len(payload["candidates"])
+    rankings = sample_rankings(sample_population(cfg), seed=3)
+    kept = split_cluster(rankings, 0, candidate_set(rankings, 0, 1.0))
+    assert payload["final"] == sorted(kept)
+
+
 def test_alt_sim_high_dim_is_candidates_only(tmp_path, capsys):
     cfg = ModelConfig(n_agents=20, n_alternatives=15, dim=2, box=1.0, seed=1)
     path = tmp_path / "m.json"
@@ -144,6 +170,31 @@ def test_experiment_subcommands(tmp_path, experiment_config_file):
     ) == EXIT_OK
     rows = read_report_csv(out / "fig1c.csv").rows
     assert {r.dim for r in rows} == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        ("experiment", {"bogus": 1}),
+        ("knn", {"colour": 2}),
+        ("knn", {"n_agents": "abc"}),
+    ],
+)
+def test_bad_config_is_one_error_line(tmp_path, capsys, command, change):
+    model = ModelConfig(n_agents=25, n_alternatives=40, dim=1, box=1.0, seed=3)
+    if command == "experiment":
+        data = ExperimentConfig(model=model, k_grid=(3,)).to_dict()
+        argv = ["experiment", "fig1a"]
+    else:
+        data = model.to_dict()
+        argv = ["knn", "--method", "oracle", "--query", "0", "--k", "1"]
+    data.update(change)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == EXIT_FAILED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert next(iter(change)) in err[0]
 
 
 def test_missing_config_is_an_error(tmp_path):

@@ -37,6 +37,13 @@ def test_pairwise_prob_examples():
     assert pairwise_prob(np.array([0.5]), np.array([0.4]), np.array([0.7])) == pytest.approx(
         expected, rel=1e-12
     )
+    # rows of (count, dim) alternatives give one probability each, bit-equal
+    # to one call per row
+    gen = np.random.default_rng(0)
+    for dim in (1, 2, 3):
+        x, y1, y2 = gen.random(dim), gen.random((50, dim)), gen.random((50, dim))
+        rows = [pairwise_prob(x, a, b) for a, b in zip(y1, y2)]
+        assert np.array_equal(pairwise_prob(x, y1, y2), rows)
 
 
 @settings(deadline=None, max_examples=60)

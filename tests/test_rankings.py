@@ -209,6 +209,22 @@ def test_rankings_csv_roundtrip(tmp_path):
     assert all(a == b for a, b in zip(rankings, loaded))
 
 
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        (["0,0,1,7", "1,2,1,0"], "alternative id"),  # m = 3
+        (["0,0,1,2", "2,2,1,0"], "agent id 2"),
+        (["0,0,1,2", "-1,2,1,0"], "agent id -1"),
+        (["0,0,1,2", "0,0,2,1"], "duplicate row for agent 0"),
+    ],
+)
+def test_rankings_csv_rejects_malformed_rows(tmp_path, rows, problem):
+    path = tmp_path / "rankings.csv"
+    path.write_text("\n".join(["n=2,m=3,seed=0", *rows]) + "\n")
+    with pytest.raises(ValueError, match=problem):
+        read_rankings_csv(path)
+
+
 def test_empty_alternative_list_is_an_error():
     with pytest.raises(ValueError):
         sample_ranking(np.array([0.1]), np.empty((0, 1)), rng.substream(0, 0))

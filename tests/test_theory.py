@@ -13,8 +13,6 @@ from plknn import (
 from plknn import rng
 from plknn.theory import (
     example_deterministic_kt,
-    example_expected_kt,
-    example_expected_kt_complement,
     example_one,
     integrate_unit_square,
     item_bound_check,
@@ -116,10 +114,6 @@ def test_example_one_values():
     assert report["derivatives"][0.5] > 0.02
     assert report["value_at_minus_1"] < report["value_at_x1"]
     assert report["flat_region_end"] == pytest.approx(0.4, abs=0.011)
-    # agree/disagree probabilities complement pointwise
-    for x2 in (-1.5, 0.0, 0.45, 0.62, 1.7):
-        total = example_expected_kt(x2) + example_expected_kt_complement(x2)
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_item_sign_mean_mirror_cancellation():
