@@ -15,9 +15,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .kendall import FeatureMatrix, agent_distances_from, kendall_tau
+from .kendall import FeatureMatrix, _discordant_from_positions, agent_distances_from
 from .latent import Population, pairwise_prob
-from .rankings import Ranking, rank_matrix
 
 METHODS = ("kt_knn", "global_knn", "oracle")
 
@@ -88,17 +87,21 @@ def oracle_distances(population: Population, query: int) -> np.ndarray:
     return d
 
 
-def kt_knn(rankings: list[Ranking], query: int, k: int) -> NeighborSet:
-    """The k agents whose observed rankings are closest to the query's in raw
-    Kendall-tau distance, ties broken by ascending agent index."""
-    n = len(rankings)
+def kt_knn(matrix: np.ndarray, query: int, k: int) -> NeighborSet:
+    """The k agents whose rankings (positions matrix rows) are closest to the
+    query's in raw Kendall-tau distance, ties broken by ascending agent index."""
+    n = matrix.shape[0]
     _check_query(n, query, k=k)
     if n < k + 1:
         raise ValueError("need at least k+1 agents")
+    q_row = matrix[query]
+    shared = (q_row >= 0) & (matrix >= 0)
+    if np.any(shared.sum(axis=1) < 2):
+        raise ValueError("rankings share fewer than 2 alternatives")
     distances = np.array(
-        [kendall_tau(rankings[query], rankings[j]) if j != query else np.inf for j in range(n)],
-        dtype=float,
+        [_discordant_from_positions(q_row[s], row[s]) for row, s in zip(matrix, shared)], float
     )
+    distances[query] = np.inf
     return NeighborSet(int(query), neighbor_order(distances, query, k), "kt_knn", ("top_k", k))
 
 
@@ -133,16 +136,15 @@ def oracle_knn(population: Population, query: int, k: int) -> NeighborSet:
     return NeighborSet(int(query), neighbor_order(distances, query, k), "oracle", ("top_k", k))
 
 
-def predict_pair(neighbors: NeighborSet, rankings: list[Ranking], a: int, b: int) -> float:
+def predict_pair(neighbors: NeighborSet, matrix: np.ndarray, a: int, b: int) -> float:
     """Fraction of usable neighbors ranking alternative ``a`` above ``b``.
 
     Neighbors that do not observe both alternatives are skipped; at least one
     usable neighbor is required.
     """
-    matrix = rank_matrix([rankings[j] for j in neighbors.members])
     if not (0 <= a < matrix.shape[1] and 0 <= b < matrix.shape[1]):
         raise ValueError(f"no neighbor ranks both {a} and {b}")
-    return float(vote_probabilities(matrix, range(matrix.shape[0]), np.array([[a, b]]))[0])
+    return float(vote_probabilities(matrix, neighbors.members, np.array([[a, b]]))[0])
 
 
 def sample_pairs(m: int, count: int, generator: np.random.Generator) -> np.ndarray:
@@ -157,7 +159,7 @@ def prediction_error(
     method: str,
     query: int,
     population: Population,
-    rankings: list[Ranking],
+    matrix: np.ndarray,
     pair_sample: np.ndarray,
     k: int | None = None,
     eps: float | None = None,
@@ -169,7 +171,7 @@ def prediction_error(
     if pair_sample.size == 0:
         raise ValueError("pair sample must be nonempty")
     if method == "kt_knn":
-        neighbors = kt_knn(rankings, query, k)
+        neighbors = kt_knn(matrix, query, k)
     elif method == "global_knn":
         if features is None:
             raise ValueError("global_knn needs a feature matrix")
@@ -179,7 +181,6 @@ def prediction_error(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    matrix = rank_matrix(rankings, m=population.n_alternatives)
     votes = vote_probabilities(matrix, neighbors.members, pair_sample)
     truth = true_probabilities(population, query, pair_sample)
     return float(np.mean(np.abs(votes - truth)))
@@ -199,6 +200,6 @@ def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> 
     usable = (pos_a >= 0) & (pos_b >= 0)
     counts = usable.sum(axis=0)
     if np.any(counts == 0):
-        raise ValueError("a sampled pair has no usable neighbor")
+        raise ValueError("no neighbor ranks both alternatives of a sampled pair")
     prefer = ((pos_a < pos_b) & usable).sum(axis=0)
     return prefer / counts

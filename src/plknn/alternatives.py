@@ -1,21 +1,20 @@
 """Two-step alternative-neighbor algorithm: sign-statistic candidates, then
 split-cluster filtering of the mirror cluster.
 
-Everything here reads only the rankings' columns for the query alternative
-and its candidates; no global feature matrix is involved. The filtering step
-assumes a 1-D latent geometry (the mirror point of y is the reflection
-through the box midpoint); in higher dimensions only the candidate stage is
-meaningful and callers should treat it as experimental.
+Everything here reads only the positions matrix's columns for the query
+alternative and its candidates; no global feature matrix is involved. The
+filtering step assumes a 1-D latent geometry (the mirror point of y is the
+reflection through the box midpoint); in higher dimensions only the candidate
+stage is meaningful and callers should treat it as experimental.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-
-from .rankings import Ranking, rank_matrix
 
 
 @dataclass(frozen=True)
@@ -46,26 +45,26 @@ class HalfStat:
             raise ValueError("half statistic must lie in [0, 1]")
 
 
-def _positions(rankings) -> np.ndarray:
-    """Rankings may be given as a list or directly as a position matrix
-    ((n, m), -1 marking unobserved), which large-population callers prefer."""
-    if isinstance(rankings, np.ndarray):
-        if rankings.ndim != 2:
-            raise ValueError("position matrix must be 2-D")
-        return rankings
-    return rank_matrix(rankings)
+def _check_alternatives(matrix: np.ndarray, *alternatives) -> None:
+    """Reject a matrix that is not 2-D, or an alternative that is not an integer in [0, m)."""
+    if np.ndim(matrix) != 2:
+        raise ValueError("positions matrix must be 2-D")
+    m = np.shape(matrix)[1]
+    for a in alternatives:
+        if not isinstance(a, Integral) or isinstance(a, bool) or not 0 <= a < m:
+            raise ValueError(f"alternative index must be an integer in [0, {m}), got {a!r}")
 
 
-def sign_distance(rankings: list[Ranking], a: int, b: int) -> float:
+def sign_distance(matrix: np.ndarray, a: int, b: int) -> float:
     """Absolute mean of the per-agent preference sign between two alternatives.
 
     Agent k contributes s_k = +1 when it ranks ``a`` below ``b`` and -1
     otherwise, so exchangeable alternatives give mean 0. Agents that do not
     rank both are skipped; at least one must rank both.
     """
+    _check_alternatives(matrix, a, b)
     if a == b:
         raise ValueError("sign distance of an alternative against itself is undefined")
-    matrix = _positions(rankings)
     value = float(_sign_distance_columns(matrix, a)[b])
     if math.isnan(value):
         raise ValueError(f"no agent ranks both {a} and {b}")
@@ -90,11 +89,12 @@ def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
     return out
 
 
-def candidate_set(rankings: list[Ranking], a: int, ell: float) -> CandidateSet:
+def candidate_set(matrix: np.ndarray, a: int, ell: float) -> CandidateSet:
     """All alternatives whose sign distance to ``a`` is at most 1/ell."""
+    _check_alternatives(matrix, a)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    distances = _sign_distance_columns(_positions(rankings), a)
+    distances = _sign_distance_columns(matrix, a)
     # NaN entries (the query itself, pairs no agent ranks) compare False
     members = [a, *np.flatnonzero(distances <= 1.0 / ell).tolist()]
     return CandidateSet(query=int(a), members=tuple(sorted(members)), ell=float(ell))
@@ -123,9 +123,10 @@ def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
     return same.sum(axis=0) / counts
 
 
-def half_stat(rankings: list[Ranking], a: int, b: int) -> HalfStat:
+def half_stat(matrix: np.ndarray, a: int, b: int) -> HalfStat:
     """Fraction of co-ranking agents placing ``a`` and ``b`` in the same half."""
-    return HalfStat(value=float(_half_stats(_positions(rankings), a, [b])[0]))
+    _check_alternatives(matrix, a, b)
+    return HalfStat(value=float(_half_stats(matrix, a, [b])[0]))
 
 
 def two_means_1d(values) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +171,7 @@ class SplitStep:
     kept: frozenset[int]
 
 
-def split_step(rankings: list[Ranking], a: int, candidates: CandidateSet) -> SplitStep:
+def split_step(matrix: np.ndarray, a: int, candidates: CandidateSet) -> SplitStep:
     """Keep the candidate cluster co-located with the query alternative.
 
     Computes the half statistic for every candidate, 2-means-clusters the 1-D
@@ -181,18 +182,17 @@ def split_step(rankings: list[Ranking], a: int, candidates: CandidateSet) -> Spl
     sits near the box midpoint and no filtering is needed - so the whole
     candidate set is kept.
     """
-    members = [int(b) for b in candidates.members]
-    if not members:
-        raise ValueError("candidate set is empty")
+    members = [int(b) for b in candidates.members]  # never empty: it holds its query
+    _check_alternatives(matrix, a, *members)
     # the query itself is always kept; its degenerate self-statistic (1.0)
     # must not take part in the clustering
     others = [b for b in members if b != a]
     if len(others) < 2:
         empty = np.empty(0)
         return SplitStep((), empty, empty.astype(np.int64), empty, frozenset(members))
-    stats = _half_stats(_positions(rankings), a, others)
+    stats = _half_stats(matrix, a, others)
     labels, centroids = two_means_1d(stats)
-    if abs(centroids[1] - centroids[0]) < 2.0 / math.sqrt(len(rankings)):
+    if abs(centroids[1] - centroids[0]) < 2.0 / math.sqrt(matrix.shape[0]):
         kept = members
     else:
         keep = int(np.argmax(centroids))
@@ -202,11 +202,11 @@ def split_step(rankings: list[Ranking], a: int, candidates: CandidateSet) -> Spl
     return SplitStep(tuple(others), stats, labels, centroids, frozenset(kept))
 
 
-def split_cluster(rankings: list[Ranking], a: int, candidates: CandidateSet) -> set[int]:
+def split_cluster(matrix: np.ndarray, a: int, candidates: CandidateSet) -> set[int]:
     """The neighbor set kept by ``split_step``."""
-    return set(split_step(rankings, a, candidates).kept)
+    return set(split_step(matrix, a, candidates).kept)
 
 
-def alt_neighbors(rankings: list[Ranking], a: int, ell: float) -> set[int]:
+def alt_neighbors(matrix: np.ndarray, a: int, ell: float) -> set[int]:
     """Two-step neighbor set for an alternative: candidates, then filtering."""
-    return split_cluster(rankings, a, candidate_set(rankings, a, ell))
+    return split_cluster(matrix, a, candidate_set(matrix, a, ell))

@@ -65,10 +65,8 @@ def _cmd_simulate(args) -> int:
     cfg = _load_model_config(args.config, args.seed)
     out = _out_dir(args)
     pop = sample_population(cfg)
-    rankings = sample_rankings(pop, seed=cfg.seed, c_obs=args.c_obs)
-    write_rankings_csv(
-        rankings, out / "rankings.csv", n=cfg.n_agents, m=cfg.n_alternatives, seed=cfg.seed
-    )
+    matrix = sample_rankings(pop, seed=cfg.seed, c_obs=args.c_obs)
+    write_rankings_csv(matrix, out / "rankings.csv", seed=cfg.seed)
     np.savetxt(out / "agents.csv", pop.agents, delimiter=",", fmt="%.17g")
     np.savetxt(out / "alternatives.csv", pop.alternatives, delimiter=",", fmt="%.17g")
     print(f"wrote rankings.csv, agents.csv, alternatives.csv to {out}")
@@ -99,11 +97,11 @@ def _cmd_knn(args) -> int:
         print("error: provide --query or --coords", file=sys.stderr)
         return EXIT_FAILED
 
-    rankings = sample_rankings(pop, seed=cfg.seed)
+    matrix = sample_rankings(pop, seed=cfg.seed)
     if args.method == "kt_knn":
-        result = kt_knn(rankings, query, args.k)
+        result = kt_knn(matrix, query, args.k)
     elif args.method == "global_knn":
-        features = feature_matrix(rankings, pairing_seed=cfg.seed)
+        features = feature_matrix(matrix, pairing_seed=cfg.seed)
         result = global_knn(features, query, k=args.k, eps=args.eps)
     else:
         result = oracle_knn(pop, query, args.k)
@@ -114,15 +112,15 @@ def _cmd_knn(args) -> int:
 def _cmd_alt_sim(args) -> int:
     cfg = _load_model_config(args.config, args.seed)
     pop = sample_population(cfg)
-    rankings = sample_rankings(pop, seed=cfg.seed)
-    candidates = candidate_set(rankings, args.query, args.ell)
+    matrix = sample_rankings(pop, seed=cfg.seed)
+    candidates = candidate_set(matrix, args.query, args.ell)
     payload = {
         "query": args.query,
         "ell": args.ell,
         "candidates": list(candidates.members),
     }
     if cfg.dim == 1:
-        step = split_step(rankings, args.query, candidates)
+        step = split_step(matrix, args.query, candidates)
         payload.update(
             {
                 "half_stats": {b: float(v) for b, v in zip(step.clustered, step.stats)},

@@ -22,7 +22,7 @@ from . import agents, rng
 from .agents import METHODS, sample_pairs
 from .kendall import FeatureMatrix, discordance_matrix, feature_matrix
 from .latent import ModelConfig, Population, check_field_types, config_keys, sample_population
-from .rankings import rank_matrix, sample_rankings
+from .rankings import sample_rankings
 
 CSV_HEADER = "method,k,dim,seed,query_bin,error_mean,error_stderr,neighbor_dist_mean,config_hash"
 POSITION_BINS = 40
@@ -207,9 +207,8 @@ class _SeedContext:
 def _build_context(model: ModelConfig, seed: int, methods) -> _SeedContext:
     cfg = replace(model, seed=seed)
     pop = sample_population(cfg)
-    rankings = sample_rankings(pop, seed=seed)
-    matrix = rank_matrix(rankings, m=pop.n_alternatives)
-    features = feature_matrix(rankings, pairing_seed=seed) if "global_knn" in methods else None
+    matrix = sample_rankings(pop, seed=seed)
+    features = feature_matrix(matrix, pairing_seed=seed) if "global_knn" in methods else None
     discordance = discordance_matrix(matrix) if "kt_knn" in methods else None
     return _SeedContext(
         population=pop, matrix=matrix, features=features, discordance=discordance, seed=seed

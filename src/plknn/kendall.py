@@ -27,7 +27,7 @@ import numpy as np
 from scipy import stats
 
 from . import rng
-from .rankings import Ranking, rank_matrix
+from .rankings import Ranking
 
 try:
     from scipy.stats._stats import _kendall_dis
@@ -85,7 +85,7 @@ def discordance_matrix(matrix: np.ndarray) -> np.ndarray:
     ``ValueError``: partially observed rankings compare on their shared
     alternatives only, which ``kendall_tau`` handles.
     """
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=np.intp)  # the kernel's type, cast once
     if matrix.ndim != 2:
         raise ValueError("positions matrix must be 2-D")
     if matrix.size and matrix.min() < 0:
@@ -158,55 +158,53 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def feature_matrix(rankings: list[Ranking], pairing_seed: int) -> FeatureMatrix:
-    """All-pairs feature matrix F[i, j] = enkt_feature(R_i, R_j, shared pairing).
+def feature_matrix(matrix: np.ndarray, pairing_seed: int) -> FeatureMatrix:
+    """All-pairs feature matrix F[i, j] = enkt_feature(R_i, R_j, pairing) over
+    the rows of an (n, m) positions matrix (-1 marking unobserved).
 
     When every agent observes the same alternatives the pairing is shared and
     the matrix is computed by one sign-matrix product. With partial
     observations the pairing for (i, j) is formed inside the intersection
-    O_i and O_j, pairing consecutive elements of the shared shuffle order;
-    any intersection smaller than 2 is an error.
+    O_i and O_j, pairing consecutive elements of one seed-derived shuffle of
+    the alternatives; any intersection smaller than 2 is an error.
     """
-    n = len(rankings)
+    if np.ndim(matrix) != 2:
+        raise ValueError("positions matrix must be 2-D")
+    n = matrix.shape[0]
     if n < 3:
         raise ValueError("feature matrix needs at least 3 agents")
-    first = rankings[0].observed
-    full = all(
-        len(r.observed) == len(first) and np.array_equal(r.observed, first)
-        for r in rankings[1:]
-    )
-    if full:
-        pairing = make_pairing(first, pairing_seed)
+    seen = matrix >= 0
+    if np.all(seen == seen[0]):
+        pairing = make_pairing(np.flatnonzero(seen[0]), pairing_seed)
         p = pairing.shape[0]
         if p == 0:
             raise ValueError("rankings share fewer than 2 alternatives")
-        matrix = rank_matrix(rankings, m=int(first[-1]) + 1)
         signs = np.sign(matrix[:, pairing[:, 0]] - matrix[:, pairing[:, 1]]).astype(np.float32)
         agree = signs @ signs.T  # in [-p, p]
         values = (p - agree) / (2.0 * p)
         np.fill_diagonal(values, 0.0)
         return FeatureMatrix(values=values.astype(float), n_pairs=p)
 
-    shuffle = make_pairing_order(rankings, pairing_seed)
+    # the shuffle covers the ids up to the highest one any agent observes
+    width = 1 + int(np.flatnonzero(seen.any(axis=0))[-1])
+    perm = rng.substream(pairing_seed, rng.PAIRING).permutation(width)
+    shuffled, seen = matrix[:, perm], seen[:, perm]
     values = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = np.intersect1d(rankings[i].observed, rankings[j].observed, assume_unique=True)
-            if shared.size < 2:
-                raise ValueError(f"agents {i} and {j} share fewer than 2 alternatives")
-            ordered = shared[np.argsort(shuffle[shared], kind="stable")]
-            pairing = ordered[: 2 * (ordered.size // 2)].reshape(-1, 2)
-            values[i, j] = values[j, i] = enkt_feature(rankings[i], rankings[j], pairing)
+    for i in range(n - 1):
+        rest = shuffled[i + 1 :]
+        shared = seen[i] & seen[i + 1 :]
+        counts = shared.sum(axis=1)
+        if np.any(counts < 2):
+            j = i + 1 + int(np.argmax(counts < 2))
+            raise ValueError(f"agents {i} and {j} share fewer than 2 alternatives")
+        # pair consecutive shared columns of each row; an odd last one is dropped
+        rank = np.cumsum(shared, axis=1)
+        rows, cols = np.nonzero(shared & (rank <= (counts - counts % 2)[:, None]))
+        rows, a, b = rows[0::2], cols[0::2], cols[1::2]
+        discordant = (shuffled[i, a] < shuffled[i, b]) != (rest[rows, a] < rest[rows, b])
+        values[i, i + 1 :] = np.bincount(rows[discordant], minlength=n - 1 - i) / (counts // 2)
+        values[i + 1 :, i] = values[i, i + 1 :]
     return FeatureMatrix(values=values, n_pairs=0)
-
-
-def make_pairing_order(rankings: list[Ranking], pairing_seed: int) -> np.ndarray:
-    """Shuffle positions for every alternative id seen by any ranking."""
-    m = 1 + max(int(r.observed[-1]) for r in rankings)
-    perm = rng.substream(pairing_seed, rng.PAIRING).permutation(m)
-    order = np.empty(m, dtype=np.int64)
-    order[perm] = np.arange(m)
-    return order
 
 
 def agent_distance(features: FeatureMatrix, i: int, j: int) -> float:

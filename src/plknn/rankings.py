@@ -1,7 +1,9 @@
 """Plackett-Luce ranking sampler and exact order probabilities.
 
 Rankings are strict total orders over an observed subset of alternative
-indices. Sampling follows the sequential-choice model: at each step the next
+indices, held as one (n, m) int32 positions matrix: 0-based positions, -1 for
+unobserved. ``Ranking`` is one row's view, for the pairwise metrics and CSV
+I/O. Sampling follows the sequential-choice model: at each step the next
 alternative is drawn from the remaining pool with probability proportional to
 its utility. The Gumbel-max sampler (rank by log-utility plus i.i.d. Gumbel
 noise) is the default because it is a single argsort; the sequential roulette
@@ -65,6 +67,15 @@ class Ranking:
         except KeyError:
             raise KeyError(f"alternative {j} is not observed by this ranking") from None
 
+    @classmethod
+    def from_positions(cls, row) -> "Ranking":
+        """Row view of a positions matrix: 0-based positions, -1 unobserved."""
+        row = np.asarray(row)
+        observed = np.flatnonzero(row >= 0)
+        if not np.array_equal(np.sort(row[observed]), np.arange(observed.size)):
+            raise ValueError("observed positions must be 0..s-1, each once")
+        return cls.from_order(observed[np.argsort(row[observed])])
+
     def positions_of(self, indices) -> np.ndarray:
         """0-based positions of the given observed alternatives."""
         pos = self._positions()
@@ -119,41 +130,30 @@ def _sequential_order(utilities: np.ndarray, generator: np.random.Generator) -> 
     return order
 
 
-def sample_rankings(
-    population: Population,
-    seed: int,
-    c_obs: float = 1.0,
-    method: str = "gumbel",
-) -> list[Ranking]:
-    """Sample every agent's ranking from its own derived substream.
+def sample_rankings(population: Population, seed: int, c_obs: float = 1.0) -> np.ndarray:
+    """Every agent's ranking as an (n, m) positions matrix.
 
     Agent ``i`` draws from substream (seed, RANKINGS, i), so rankings can be
     generated in parallel with results identical to serial execution. With
     ``c_obs > 1`` each agent reveals its order on a uniformly random subset of
-    floor(m / c_obs) alternatives, chosen from substream (seed, OBSERVATION, i).
+    floor(m / c_obs) alternatives, chosen from substream (seed, OBSERVATION, i):
+    those are renumbered 0..floor(m / c_obs) - 1 and the rest read -1.
     """
     if c_obs < 1.0:
         raise ValueError("c_obs must be >= 1")
-    m = population.n_alternatives
+    n, m = population.n_agents, population.n_alternatives
     n_obs = int(m // c_obs)
     if n_obs < 1:
         raise ValueError("observation fraction leaves no alternatives")
-    dists = np.linalg.norm(
-        population.agents[:, None, :] - population.alternatives[None, :, :], axis=2
-    )
-    out = []
-    for i in range(population.n_agents):
-        gen = rng.substream(seed, rng.RANKINGS, i)
-        if method == "gumbel":
-            order = _gumbel_order(-dists[i], gen)
-        else:
-            order = _sequential_order(np.exp(-dists[i]), gen)
-        if n_obs < m:
-            subset = rng.substream(seed, rng.OBSERVATION, i).choice(m, size=n_obs, replace=False)
-            keep = np.zeros(m, dtype=bool)
-            keep[subset] = True
-            order = order[keep[order]]
-        out.append(Ranking.from_order(order))
+    matrix = positions_matrix(population, seed, stream="per_agent")
+    if n_obs == m:
+        return matrix
+    keep = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        keep[i, rng.substream(seed, rng.OBSERVATION, i).choice(m, size=n_obs, replace=False)] = True
+    kept_order = np.argsort(np.where(keep, matrix, m), axis=1)[:, :n_obs]
+    out = np.full_like(matrix, -1)
+    np.put_along_axis(out, kept_order, np.arange(n_obs, dtype=np.int32)[None, :], axis=1)
     return out
 
 
@@ -187,10 +187,10 @@ def restrict_ranking(r: Ranking, subset) -> Ranking:
 
 
 def rank_matrix(rankings: list[Ranking], m: int | None = None) -> np.ndarray:
-    """(n, m) matrix of 0-based positions; -1 marks unobserved alternatives."""
+    """(n, m) int32 matrix of 0-based positions; -1 marks unobserved alternatives."""
     if m is None:
         m = 1 + max((int(r.observed[-1]) for r in rankings), default=-1)
-    out = np.full((len(rankings), m), -1, dtype=np.int64)
+    out = np.full((len(rankings), m), -1, dtype=np.int32)
     for i, r in enumerate(rankings):
         out[i, r.order] = np.arange(len(r))
     return out
@@ -199,20 +199,20 @@ def rank_matrix(rankings: list[Ranking], m: int | None = None) -> np.ndarray:
 def positions_matrix(
     population: Population, seed: int, chunk: int = 8192, stream: str = "per_agent"
 ) -> np.ndarray:
-    """Full-observation position matrix computed in agent chunks, so
-    populations of hundreds of thousands of agents fit in memory.
+    """Full-observation Gumbel-max positions matrix computed in agent chunks,
+    so populations of hundreds of thousands of agents fit in memory.
 
-    With ``stream="per_agent"`` the result is bit-identical to
-    ``rank_matrix(sample_rankings(population, seed))``. With
-    ``stream="batched"`` all agents draw from one substream in row blocks
-    (agent i owns block i, so prefixes are stable under n growth); this is
-    distributionally identical and much faster at very large n.
+    With ``stream="per_agent"`` agent i draws from its own substream, as in
+    ``sample_rankings``. With ``stream="batched"`` all agents draw from one
+    substream in row blocks (agent i owns block i, so prefixes are stable
+    under n growth); this is distributionally identical and much faster at
+    very large n.
     """
     if stream not in ("per_agent", "batched"):
         raise ValueError(f"unknown stream mode {stream!r}")
     n, m = population.n_agents, population.n_alternatives
     batched_gen = rng.substream(seed, rng.RANKINGS) if stream == "batched" else None
-    out = np.empty((n, m), dtype=np.int64)
+    out = np.empty((n, m), dtype=np.int32)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         dists = np.linalg.norm(
@@ -227,21 +227,24 @@ def positions_matrix(
                 u[i - start] = rng.substream(seed, rng.RANKINGS, i).random(m)
         perceived = -dists - np.log(-np.log(u))
         order = np.argsort(-perceived, axis=1, kind="stable")
-        out[start:stop] = np.argsort(order, axis=1, kind="stable")
+        np.put_along_axis(out[start:stop], order, np.arange(m, dtype=np.int32)[None, :], axis=1)
     return out
 
 
-def write_rankings_csv(rankings: list[Ranking], path, n: int, m: int, seed: int) -> None:
-    """One file per ranking matrix: a header naming n, m, seed, then one
-    row per agent: agent_id, alternative ids best-first."""
+def write_rankings_csv(matrix: np.ndarray, path, seed: int) -> None:
+    """One file per (n, m) positions matrix: a header naming n, m, seed, then
+    one row per agent: agent_id, alternative ids best-first."""
+    n, m = matrix.shape
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
         fp.write(f"n={n},m={m},seed={seed}\n")
-        for i, r in enumerate(rankings):
-            fp.write(str(i) + "," + ",".join(str(int(j)) for j in r.order) + "\n")
+        for i, row in enumerate(matrix):
+            order = Ranking.from_positions(row).order
+            fp.write(str(i) + "," + ",".join(str(int(j)) for j in order) + "\n")
 
 
-def read_rankings_csv(path) -> tuple[list[Ranking], dict]:
-    """Read a file written by ``write_rankings_csv``; a malformed row raises ``ValueError``."""
+def read_rankings_csv(path) -> tuple[np.ndarray, dict]:
+    """Read a file written by ``write_rankings_csv`` into an (n, m) positions
+    matrix; a malformed row raises ``ValueError``."""
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
     header = dict(kv.split("=") for kv in lines[0].split(","))
     meta = {"n": int(header["n"]), "m": int(header["m"]), "seed": int(header["seed"])}
@@ -258,4 +261,4 @@ def read_rankings_csv(path) -> tuple[list[Ranking], dict]:
         rankings[agent] = Ranking.from_order(order)
     if any(r is None for r in rankings):
         raise ValueError("rankings file is missing agents")
-    return rankings, meta
+    return rank_matrix(rankings, m=m), meta

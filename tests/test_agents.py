@@ -12,6 +12,7 @@ from plknn import (
     oracle_knn,
     predict_pair,
     prediction_error,
+    rank_matrix,
     sample_pairs,
     sample_population,
     sample_rankings,
@@ -100,12 +101,12 @@ def test_global_threshold_mode(small_world):
 
 
 def test_kt_knn_tie_break_and_validation():
-    rankings = [
+    rankings = rank_matrix([
         Ranking.from_order([0, 1, 2]),
         Ranking.from_order([0, 2, 1]),  # distance 1
         Ranking.from_order([1, 0, 2]),  # distance 1, larger index
         Ranking.from_order([2, 1, 0]),  # distance 3
-    ]
+    ])
     ns = kt_knn(rankings, 0, 2)
     assert list(ns.members) == [1, 2]
     with pytest.raises(ValueError):
@@ -147,7 +148,7 @@ def test_relabeling_equivariance(small_world):
     inv = np.empty_like(perm)
     inv[perm] = np.arange(pop.n_agents)
     pop2 = Population(agents=pop.agents[perm], alternatives=pop.alternatives)
-    rankings2 = [rankings[j] for j in perm]
+    rankings2 = rankings[perm]
     feats2 = feature_matrix(rankings2, pairing_seed=77)
     for before, after in (
         (kt_knn(rankings, q, k), kt_knn(rankings2, int(inv[q]), k)),
@@ -158,18 +159,18 @@ def test_relabeling_equivariance(small_world):
 
 
 def test_predict_pair_basics():
-    rankings = [
+    rankings = rank_matrix([
         Ranking.from_order([0, 1, 2]),
         Ranking.from_order([0, 2, 1]),
         Ranking.from_order([1, 2, 0]),
         Ranking.from_order([2, 0, 1]),
-    ]
+    ])
     agree = NeighborSet(3, (0, 1), "oracle", ("top_k", 2))
     assert predict_pair(agree, rankings, 0, 2) == 1.0
     split = NeighborSet(3, (0, 2), "oracle", ("top_k", 2))
     assert predict_pair(split, rankings, 0, 1) == 0.5
     # neighbors missing an alternative are skipped
-    partial = [Ranking.from_order([0, 1]), Ranking.from_order([2, 3])]
+    partial = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])])
     ns = NeighborSet(9, (0, 1), "oracle", ("top_k", 2))
     assert predict_pair(ns, partial, 0, 1) == 1.0
     for a, b in ((0, 3), (-1, 0), (0, -2), (0, 9)):  # unobserved or not an alternative
@@ -230,7 +231,8 @@ def test_exchangeable_agents_share_common_distance_scale():
     rankings = sample_rankings(pop, seed=9)
     from plknn.kendall import nkt
 
-    dists = np.array([nkt(rankings[0], rankings[j]) for j in range(1, n)])
+    rows = [Ranking.from_positions(row) for row in rankings]
+    dists = np.array([nkt(rows[0], rows[j]) for j in range(1, n)])
     assert dists.std() < 0.05 * dists.mean()
 
 

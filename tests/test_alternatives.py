@@ -32,23 +32,23 @@ def _uniform_world(seed, n, m, extra_alts=()):
 
 
 def test_sign_distance_basics():
-    rankings = [
+    rankings = rank_matrix([
         Ranking.from_order([0, 1, 2]),
         Ranking.from_order([0, 1, 2]),
         Ranking.from_order([2, 1, 0]),
-    ]
+    ])
     # two of three agents rank 0 above 2
     assert sign_distance(rankings, 0, 2) == pytest.approx(1 / 3)
     assert sign_distance(rankings, 2, 0) == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         sign_distance(rankings, 1, 1)
-    disjoint = [Ranking.from_order([0, 1]), Ranking.from_order([2, 3])]
+    disjoint = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])])
     with pytest.raises(ValueError):
         sign_distance(disjoint, 0, 2)
 
 
 def test_sign_distance_value_is_mean_of_unit_signs():
-    rankings = [Ranking.from_order([0, 1]), Ranking.from_order([1, 0])]
+    rankings = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([1, 0])])
     # one +1 and one -1 cancel exactly
     assert sign_distance(rankings, 0, 1) == 0.0
 
@@ -87,8 +87,7 @@ def test_candidate_set_trivial_threshold_and_monotonicity():
 
 def test_candidate_set_relabeling_symmetry():
     cfg = ModelConfig(n_agents=40, n_alternatives=10, dim=1, box=1.0, seed=6)
-    rankings = sample_rankings(sample_population(cfg), seed=6)
-    matrix = rank_matrix(rankings, m=10)
+    matrix = sample_rankings(sample_population(cfg), seed=6)
     perm = np.random.default_rng(0).permutation(10)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(10)
@@ -100,10 +99,10 @@ def test_candidate_set_relabeling_symmetry():
 
 
 def test_half_stat_basics():
-    rankings = [
+    rankings = rank_matrix([
         Ranking.from_order([0, 1, 2, 3]),
         Ranking.from_order([3, 2, 1, 0]),
-    ]
+    ])
     assert half_stat(rankings, 0, 0).value == 1.0
     # alternatives 0 and 1 share a half for both agents
     assert half_stat(rankings, 0, 1).value == 1.0
@@ -111,7 +110,7 @@ def test_half_stat_basics():
     assert half_stat(rankings, 0, 2).value == 0.0
     assert half_stat(rankings, 2, 0).value == half_stat(rankings, 0, 2).value
     with pytest.raises(ValueError):
-        half_stat([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])], 0, 2)
+        half_stat(rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])]), 0, 2)
 
 
 def test_half_stat_odd_length_boundary():
@@ -127,7 +126,7 @@ def test_half_stats_equal_the_per_pair_mean():
     # with unobserved entries skipped
     cfg = ModelConfig(n_agents=300, n_alternatives=25, dim=1, box=5.0, seed=8)
     for c_obs in (1.0, 1.7):
-        matrix = rank_matrix(sample_rankings(sample_population(cfg), seed=8, c_obs=c_obs), m=25)
+        matrix = sample_rankings(sample_population(cfg), seed=8, c_obs=c_obs)
         halves = _first_half(matrix)
         others = [b for b in range(25) if b != 4]
         expected = []
@@ -135,8 +134,9 @@ def test_half_stats_equal_the_per_pair_mean():
             usable = (matrix[:, 4] >= 0) & (matrix[:, b] >= 0)
             expected.append(np.mean(halves[usable, 4] == halves[usable, b]))
         assert np.array_equal(_half_stats(matrix, 4, others), expected)
+    partial = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 1])])
     with pytest.raises(ValueError, match="no agent ranks both 0 and 2"):
-        _half_stats(rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 1])]), 0, [1, 2])
+        _half_stats(partial, 0, [1, 2])
 
 
 def test_half_stat_co_location_beats_mirror():
@@ -203,13 +203,39 @@ def test_split_cluster_drops_mirror_small_scale():
 
 
 def test_split_cluster_list_and_matrix_paths_agree():
+    # the matrix rebuilt from its row views gives the same candidates and split
     cfg = ModelConfig(n_agents=300, n_alternatives=30, dim=1, box=1.0, seed=15)
     pop = sample_population(cfg)
-    rankings = sample_rankings(pop, seed=15)
-    matrix = rank_matrix(rankings, m=30)
-    cands = candidate_set(rankings, 2, ell=2)
+    matrix = sample_rankings(pop, seed=15)
+    rebuilt = rank_matrix([Ranking.from_positions(row) for row in matrix], m=30)
+    cands = candidate_set(rebuilt, 2, ell=2)
     assert candidate_set(matrix, 2, ell=2).members == cands.members
-    assert split_cluster(rankings, 2, cands) == split_cluster(matrix, 2, cands)
+    assert split_cluster(rebuilt, 2, cands) == split_cluster(matrix, 2, cands)
+
+
+def test_alternative_index_is_range_checked():
+    cfg = ModelConfig(n_agents=40, n_alternatives=12, dim=1, box=1.0, seed=2)
+    matrix = sample_rankings(sample_population(cfg), seed=2)
+    cands = candidate_set(matrix, 3, ell=1)
+    for bad in (-1, 12, 2.0, True, None):
+        calls = [
+            lambda: candidate_set(matrix, bad, ell=1),  # -1 once gave alternative 11's set
+            lambda: sign_distance(matrix, bad, 3),
+            lambda: sign_distance(matrix, 3, bad),
+            lambda: half_stat(matrix, bad, 3),
+            lambda: half_stat(matrix, 3, bad),
+            lambda: split_cluster(matrix, bad, cands),
+            lambda: alt_neighbors(matrix, bad, ell=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="alternative index"):
+                call()
+    with pytest.raises(ValueError, match="alternative index"):
+        split_cluster(matrix, 3, CandidateSet(3, (3, 4, 12), 1.0))
+    with pytest.raises(ValueError, match="2-D"):
+        candidate_set(matrix[0], 3, ell=1)
+    # numpy integers are valid indices
+    assert candidate_set(matrix, np.int64(3), ell=1).members == cands.members
 
 
 def test_split_cluster_order_invariance():

@@ -100,6 +100,18 @@ def test_alt_sim(model_config_file, capsys):
     assert "half_stats" in payload and "final" in payload and "clusters" in payload
 
 
+@pytest.mark.parametrize("query", ["-1", "40"])
+def test_alt_sim_rejects_an_alternative_outside_the_range(model_config_file, capsys, query):
+    # -1 once printed alternative 39's candidates; 40 once ended in a traceback
+    assert main(
+        ["alt-sim", "--query", query, "--ell", "1.5", "--config", str(model_config_file)]
+    ) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: alternative index")
+
+
 def test_alt_sim_prints_the_split_that_split_cluster_used(tmp_path, capsys):
     # box 5 separates the two clusters: the centroid gap (about 0.31) clears
     # the merge threshold 2/sqrt(200) (about 0.14), so a cluster is dropped
@@ -119,8 +131,8 @@ def test_alt_sim_prints_the_split_that_split_cluster_used(tmp_path, capsys):
     larger = payload["clusters"][str(int(np.argmax(centroids)))]
     assert payload["final"] == sorted([0, *larger])
     assert len(payload["final"]) < len(payload["candidates"])
-    rankings = sample_rankings(sample_population(cfg), seed=3)
-    kept = split_cluster(rankings, 0, candidate_set(rankings, 0, 1.0))
+    matrix = sample_rankings(sample_population(cfg), seed=3)
+    kept = split_cluster(matrix, 0, candidate_set(matrix, 0, 1.0))
     assert payload["final"] == sorted(kept)
 
 

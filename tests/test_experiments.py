@@ -48,12 +48,13 @@ def test_context_builds_only_the_distances_its_methods_use():
     ctx = _build_context(model, 0, ("kt_knn", "oracle"))
     assert ctx.features is None
     # the runner's Kendall row picks the same neighbors as the public kt_knn
-    rankings = sample_rankings(sample_population(model), seed=0)
+    matrix = sample_rankings(sample_population(model), seed=0)
+    assert np.array_equal(ctx.matrix, matrix)
     for q in (0, 17, 39):
         dist = _method_distances(ctx, "kt_knn", q)
         assert dist[q] == np.inf
         order = [j for j in np.lexsort((np.arange(dist.size), dist)) if j != q]
-        assert tuple(order[:8]) == kt_knn(rankings, q, 8).members
+        assert tuple(order[:8]) == kt_knn(matrix, q, 8).members
 
 
 def test_config_hash_sensitivity():

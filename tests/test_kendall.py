@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plknn import (
@@ -16,6 +16,7 @@ from plknn import (
     feature_matrix,
     kendall_tau,
     kendall_tau_naive,
+    kt_knn,
     make_pairing,
     nkt,
     rank_matrix,
@@ -23,6 +24,7 @@ from plknn import (
     sample_rankings,
 )
 import plknn.kendall
+from plknn import rng
 from plknn.kendall import agent_distances_from
 from plknn.theory import expected_agent_gap_curve
 
@@ -102,9 +104,9 @@ def test_fast_matches_naive_on_partial():
 
 
 @st.composite
-def _permutation_sets(draw):
+def _permutation_sets(draw, min_n=1):
     m = draw(st.integers(2, 30))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(min_n, 6))
     return [draw(st.permutations(range(m))) for _ in range(n)]
 
 
@@ -140,6 +142,108 @@ def test_discordance_matrix_matches_naive(orders):
 def test_fast_matches_naive_on_partial_property(pair):
     r1, r2 = pair
     assert kendall_tau(r1, r2) == kendall_tau_naive(r1, r2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_permutation_sets(min_n=3))
+def test_discordance_matrix_triangle_inequality(orders):
+    rankings = [_perm_ranking(o) for o in orders]
+    d = discordance_matrix(rank_matrix(rankings))
+    naive = np.array([[kendall_tau_naive(a, b) for b in rankings] for a in rankings])
+    assert np.array_equal(d, naive)
+    # d[i, j] <= d[i, k] + d[k, j] for every triple
+    assert np.all(d[:, :, None] <= d[:, None, :] + d.T[None, :, :])
+
+
+@settings(deadline=None, max_examples=40)
+@given(_permutation_sets(), st.data())
+def test_discordance_matrix_right_invariance(orders, data):
+    # relabeling the alternatives (permuting columns) keeps every distance
+    # (Diaconis & Graham 1977)
+    matrix = rank_matrix([_perm_ranking(o) for o in orders])
+    perm = data.draw(st.permutations(range(matrix.shape[1])))
+    relabeled = matrix[:, perm]
+    d = discordance_matrix(relabeled)
+    assert np.array_equal(d, discordance_matrix(matrix))
+    rows = [Ranking.from_positions(row) for row in relabeled]
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        assert d[i, j] == kendall_tau_naive(rows[i], rows[j])
+
+
+@settings(deadline=None, max_examples=40)
+@given(_permutation_sets())
+def test_discordance_matrix_reversal_identity(orders):
+    # d(s, rev p) = C(m, 2) - d(s, p)
+    matrix = rank_matrix([_perm_ranking(o) for o in orders])
+    m = matrix.shape[1]
+    both = np.vstack([matrix, m - 1 - matrix])
+    d = discordance_matrix(both)
+    n = matrix.shape[0]
+    assert np.array_equal(d[:n, n:], m * (m - 1) // 2 - d[:n, :n])
+    rows = [Ranking.from_positions(row) for row in both]
+    assert d[0, n] == kendall_tau_naive(rows[0], rows[n]) == m * (m - 1) // 2
+
+
+@st.composite
+def _partial_matrices(draw):
+    """Positions matrices whose rows observe random subsets of at least 2 of
+    the first m alternatives; up to 5 trailing columns nobody observes."""
+    n = draw(st.integers(3, 10))
+    m = draw(st.integers(2, 30))
+    sizes = draw(st.lists(st.integers(2, m), min_size=n, max_size=n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [Ranking.from_order(gen.permutation(m)[:s]) for s in sizes]
+    return rank_matrix(rows, m=m + draw(st.integers(0, 5)))
+
+
+def _partial_features_per_pair(matrix, pairing_seed):
+    """Reference: the per-pair enkt_feature loop, pairing consecutive shared
+    alternatives in one seed-derived shuffle of the ids up to the highest one
+    observed."""
+    rows = [Ranking.from_positions(row) for row in matrix]
+    width = 1 + max(int(r.observed[-1]) for r in rows)
+    perm = rng.substream(pairing_seed, rng.PAIRING).permutation(width)
+    shuffle = np.empty(width, dtype=np.int64)
+    shuffle[perm] = np.arange(width)
+    n = len(rows)
+    values = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        shared = np.intersect1d(rows[i].observed, rows[j].observed, assume_unique=True)
+        ordered = shared[np.argsort(shuffle[shared], kind="stable")]
+        pairing = ordered[: 2 * (ordered.size // 2)].reshape(-1, 2)
+        values[i, j] = values[j, i] = enkt_feature(rows[i], rows[j], pairing)
+    return values
+
+
+@settings(deadline=None, max_examples=80)
+@given(_partial_matrices(), st.integers(0, 1000))
+def test_partial_feature_matrix_equals_per_pair_loop(matrix, pairing_seed):
+    seen = matrix >= 0
+    assume(not np.all(seen == seen[0]))
+    try:
+        expected = _partial_features_per_pair(matrix, pairing_seed)
+    except ValueError:  # some pair shares fewer than 2 alternatives
+        with pytest.raises(ValueError, match="share fewer than 2"):
+            feature_matrix(matrix, pairing_seed)
+        return
+    got = feature_matrix(matrix, pairing_seed)
+    assert np.array_equal(got.values, expected) and got.n_pairs == 0
+
+
+@settings(deadline=None, max_examples=80)
+@given(_partial_matrices(), st.data())
+def test_kt_knn_matches_naive_neighbor_order(matrix, data):
+    n = matrix.shape[0]
+    q = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(1, n - 1))
+    rows = [Ranking.from_positions(row) for row in matrix]
+    try:
+        d = {j: kendall_tau_naive(rows[q], rows[j]) for j in range(n) if j != q}
+    except ValueError:  # the query shares fewer than 2 alternatives with someone
+        with pytest.raises(ValueError, match="share fewer than 2"):
+            kt_knn(matrix, q, k)
+        return
+    assert kt_knn(matrix, q, k).members == tuple(sorted(d, key=lambda j: (d[j], j))[:k])
 
 
 def test_discordance_matrix_rejects_unobserved_without_hanging():
@@ -231,7 +335,7 @@ def test_feature_matrix_symmetry_and_range():
     scaled = vals * feats.n_pairs
     assert np.allclose(scaled, np.round(scaled))
     # identical rankings give all-zero features
-    same = [rankings[0], rankings[0], rankings[0]]
+    same = rankings[[0, 0, 0]]
     assert np.all(feature_matrix(same, pairing_seed=1).values == 0)
 
 
@@ -241,11 +345,10 @@ def test_feature_matrix_matches_enkt_feature():
     rankings = sample_rankings(pop, seed=13)
     feats = feature_matrix(rankings, pairing_seed=99)
     pairing = make_pairing(np.arange(20), pairing_seed=99)
+    rows = [Ranking.from_positions(row) for row in rankings]
     for i in range(5):
         for j in range(i + 1, 5):
-            assert feats.values[i, j] == pytest.approx(
-                enkt_feature(rankings[i], rankings[j], pairing)
-            )
+            assert feats.values[i, j] == pytest.approx(enkt_feature(rows[i], rows[j], pairing))
 
 
 def test_feature_matrix_partial_observation_paths():
@@ -261,9 +364,9 @@ def test_feature_matrix_partial_observation_paths():
     r_c = Ranking.from_order([0, 1, 2, 3])
     # one shared alternative forms no pair (once NaN features and a warning)
     with pytest.raises(ValueError, match="fewer than 2"):
-        feature_matrix([Ranking.from_order([0])] * 4, pairing_seed=1)
-    with pytest.raises(ValueError):
-        feature_matrix([r_a, r_b, r_c], pairing_seed=1)
+        feature_matrix(rank_matrix([Ranking.from_order([0])] * 4), pairing_seed=1)
+    with pytest.raises(ValueError, match="agents 0 and 1 share fewer than 2"):
+        feature_matrix(rank_matrix([r_a, r_b, r_c]), pairing_seed=1)
 
 
 def test_agent_distance_properties():
@@ -276,7 +379,7 @@ def test_agent_distance_properties():
     with pytest.raises(ValueError):
         agent_distance(feats, 2, 2)
     # identical feature rows give distance zero
-    same = [rankings[0], rankings[0], rankings[1], rankings[2]]
+    same = rankings[[0, 0, 1, 2]]
     feats_same = feature_matrix(same, pairing_seed=23)
     assert agent_distance(feats_same, 0, 1) == pytest.approx(0.0)
     # pseudometric triangle inequality over all triples
@@ -309,7 +412,7 @@ def test_relabeling_permutes_features_consistently():
     rankings = sample_rankings(sample_population(cfg), seed=37)
     feats = feature_matrix(rankings, pairing_seed=11)
     perm = [3, 0, 5, 1, 4, 2]
-    permuted = feature_matrix([rankings[p] for p in perm], pairing_seed=11)
+    permuted = feature_matrix(rankings[perm], pairing_seed=11)
     assert np.allclose(permuted.values, feats.values[np.ix_(perm, perm)])
 
 

@@ -21,7 +21,7 @@ from plknn import (
     write_rankings_csv,
 )
 from plknn import rng
-from plknn.rankings import positions_matrix
+from plknn.rankings import _gumbel_order, positions_matrix
 
 from _harness import gumbel_orders, sequential_orders
 
@@ -170,43 +170,103 @@ def test_sample_rankings_substreams_and_partial():
     cfg = ModelConfig(n_agents=6, n_alternatives=40, dim=1, box=1.0, seed=21)
     pop = sample_population(cfg)
     full = sample_rankings(pop, seed=21)
-    assert all(len(r) == 40 for r in full)
+    assert full.shape == (6, 40) and full.dtype == np.int32
+    assert np.array_equal(np.sort(full, axis=1), np.tile(np.arange(40), (6, 1)))
     # growing the agent count never changes existing agents' rankings
     bigger = Population(
         agents=np.vstack([pop.agents, [[0.5]]]), alternatives=pop.alternatives
     )
     again = sample_rankings(bigger, seed=21)
-    for r1, r2 in zip(full, again):
-        assert r1 == r2
+    assert np.array_equal(again[:6], full)
     partial = sample_rankings(pop, seed=21, c_obs=4.0)
-    assert all(len(r) == 10 for r in partial)
+    assert partial.dtype == np.int32
+    assert np.all((partial >= 0).sum(axis=1) == 10)
     # partial rankings are restrictions of the full ones
-    for r_full, r_part in zip(full, partial):
-        assert restrict_ranking(r_full, r_part.observed) == r_part
+    for row_full, row_part in zip(full, partial):
+        r_part = Ranking.from_positions(row_part)
+        assert restrict_ranking(Ranking.from_positions(row_full), r_part.observed) == r_part
     with pytest.raises(ValueError):
         sample_rankings(pop, seed=21, c_obs=0.5)
+
+
+def _per_agent_reference(population, seed, c_obs=1.0):
+    """Reference sampler: agent i's Gumbel order from its own substream
+    (seed, RANKINGS, i), restricted to the subset drawn from (seed,
+    OBSERVATION, i), written as 0-based positions with -1 unobserved."""
+    n, m = population.n_agents, population.n_alternatives
+    n_obs = int(m // c_obs)
+    dists = np.linalg.norm(
+        population.agents[:, None, :] - population.alternatives[None, :, :], axis=2
+    )
+    out = np.full((n, m), -1, dtype=np.int64)
+    for i in range(n):
+        order = _gumbel_order(-dists[i], rng.substream(seed, rng.RANKINGS, i))
+        if n_obs < m:
+            subset = rng.substream(seed, rng.OBSERVATION, i).choice(m, size=n_obs, replace=False)
+            keep = np.zeros(m, dtype=bool)
+            keep[subset] = True
+            order = order[keep[order]]
+        out[i, order] = np.arange(order.size)
+    return out
 
 
 def test_positions_matrix_matches_sample_rankings():
     cfg = ModelConfig(n_agents=25, n_alternatives=30, dim=2, box=1.0, seed=8)
     pop = sample_population(cfg)
-    expect = rank_matrix(sample_rankings(pop, seed=8), m=30)
+    expect = _per_agent_reference(pop, seed=8)
     got = positions_matrix(pop, seed=8, chunk=7)
-    assert np.array_equal(expect, got)
+    assert got.dtype == np.int32 and np.array_equal(expect, got)
+    assert np.array_equal(sample_rankings(pop, seed=8), expect)
     batched = positions_matrix(pop, seed=8, chunk=7, stream="batched")
-    assert batched.shape == expect.shape
+    assert batched.shape == expect.shape and batched.dtype == np.int32
     assert np.array_equal(np.sort(batched, axis=1), np.tile(np.arange(30), (25, 1)))
+
+
+def test_sample_rankings_match_reference_across_a_chunk_boundary():
+    # positions_matrix samples 8192 agents per chunk
+    cfg = ModelConfig(n_agents=8200, n_alternatives=7, dim=1, box=1.0, seed=4)
+    pop = sample_population(cfg)
+    for c_obs in (1.0, 1.5):
+        expect = _per_agent_reference(pop, 4, c_obs)
+        assert np.array_equal(sample_rankings(pop, seed=4, c_obs=c_obs), expect)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_sample_rankings_match_reference(data):
+    n = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(1, 40))
+    c_obs = data.draw(st.floats(1.0, float(m)))
+    seed = data.draw(st.integers(0, 2**20))
+    dim = data.draw(st.integers(1, 3))
+    pop = sample_population(ModelConfig(n_agents=n, n_alternatives=m, dim=dim, box=1.0, seed=seed))
+    expect = _per_agent_reference(pop, seed, c_obs)
+    assert np.array_equal(sample_rankings(pop, seed, c_obs=c_obs), expect)
+
+
+def test_ranking_row_view():
+    matrix = rank_matrix([Ranking.from_order([4, 1, 7]), Ranking.from_order([0, 2])], m=8)
+    assert matrix.dtype == np.int32
+    assert np.array_equal(matrix[0], [-1, 1, -1, -1, 0, -1, -1, 2])
+    assert Ranking.from_positions(matrix[0]) == Ranking.from_order([4, 1, 7])
+    assert Ranking.from_positions(matrix[1]) == Ranking.from_order([0, 2])
+    for bad in ([0, 0, 1], [1, 2, -1], [-1, -1]):
+        with pytest.raises(ValueError):
+            Ranking.from_positions(bad)
 
 
 def test_rankings_csv_roundtrip(tmp_path):
     cfg = ModelConfig(n_agents=5, n_alternatives=12, dim=1, box=1.0, seed=2)
     pop = sample_population(cfg)
-    rankings = sample_rankings(pop, seed=2, c_obs=2.0)
+    matrix = sample_rankings(pop, seed=2, c_obs=2.0)
     path = tmp_path / "rankings.csv"
-    write_rankings_csv(rankings, path, n=5, m=12, seed=2)
+    write_rankings_csv(matrix, path, seed=2)
     loaded, meta = read_rankings_csv(path)
     assert meta == {"n": 5, "m": 12, "seed": 2}
-    assert all(a == b for a, b in zip(rankings, loaded))
+    assert loaded.dtype == np.int32 and np.array_equal(loaded, matrix)
+    # one row per agent: agent id, alternative ids best-first
+    lines = path.read_text().splitlines()
+    assert lines[1] == "0," + ",".join(map(str, Ranking.from_positions(matrix[0]).order))
 
 
 @pytest.mark.parametrize(
