@@ -193,8 +193,19 @@ def true_probabilities(population: Population, query: int, pair_sample: np.ndarr
 
 
 def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> np.ndarray:
-    """Per-pair fraction of usable members ranking a above b (vectorized)."""
-    members = np.asarray(members, dtype=np.int64)
+    """Per-pair fraction of usable members ranking a above b (vectorized).
+
+    A member that is not an agent index in [0, n) raises ``ValueError``."""
+    n = matrix.shape[0]
+    ids = np.asarray(members)
+    if ids.size and (
+        ids.dtype.kind not in "iu"
+        or any(isinstance(j, (bool, np.bool_)) for j in members)  # [0, True] casts to ints
+        or ids.min() < 0
+        or ids.max() >= n
+    ):
+        raise ValueError(f"neighbor ids must be agent indices in [0, {n}), got {list(members)!r}")
+    members = ids.astype(np.int64)
     pos_a = matrix[np.ix_(members, pair_sample[:, 0])]
     pos_b = matrix[np.ix_(members, pair_sample[:, 1])]
     usable = (pos_a >= 0) & (pos_b >= 0)

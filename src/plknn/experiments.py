@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -202,14 +202,24 @@ class _SeedContext:
     features: FeatureMatrix | None  # built only when global_knn runs
     discordance: np.ndarray | None  # (n, n) Kendall-tau distances; only when kt_knn runs
     seed: int
+    columns: np.ndarray = field(init=False)  # contiguous (m, n) int32 transpose of matrix
+
+    def __post_init__(self):
+        # the vote reads positions as "a ranked above b"; an unobserved -1
+        # would read as a top position
+        if self.matrix.size and self.matrix.min() < 0:
+            raise ValueError("the runner votes on fully observed rankings; matrix has -1 entries")
+        object.__setattr__(self, "columns", np.ascontiguousarray(self.matrix.T, dtype=np.int32))
 
 
-def _build_context(model: ModelConfig, seed: int, methods) -> _SeedContext:
+def _build_context(
+    model: ModelConfig, seed: int, methods, n_jobs: int | None = None
+) -> _SeedContext:
     cfg = replace(model, seed=seed)
     pop = sample_population(cfg)
     matrix = sample_rankings(pop, seed=seed)
     features = feature_matrix(matrix, pairing_seed=seed) if "global_knn" in methods else None
-    discordance = discordance_matrix(matrix) if "kt_knn" in methods else None
+    discordance = discordance_matrix(matrix, n_jobs) if "kt_knn" in methods else None
     return _SeedContext(
         population=pop, matrix=matrix, features=features, discordance=discordance, seed=seed
     )
@@ -234,17 +244,22 @@ def _query_errors(
     )
     truth = agents.true_probabilities(ctx.population, q, pairs)
     latent = agents.oracle_distances(ctx.population, q)
+    # prefer[p, j] = 1 when agent j ranks pair p's first alternative above its second
+    prefer = (ctx.columns[pairs[:, 0]] < ctx.columns[pairs[:, 1]]).astype(np.float64)
+    sizes = np.minimum(k_grid, ctx.population.n_agents - 1)  # neighbors voting at each k
     out: dict[tuple[str, int], tuple[float, float]] = {}
     for method in methods:
         dist = latent if method == "oracle" else _method_distances(ctx, method, q)
         # no k votes with more neighbors than the largest k
         order = agents.neighbor_order(dist, q, max(k_grid))
-        prefer = (ctx.matrix[np.ix_(order, pairs[:, 0])] < ctx.matrix[np.ix_(order, pairs[:, 1])])
-        cum_votes = np.cumsum(prefer, axis=0, dtype=np.float64)
+        # column t selects the nearest sizes[t] neighbors, so counts[:, t] is
+        # their vote count: a sum of 0/1 terms, exact in float64 in any order
+        select = np.zeros((prefer.shape[1], sizes.size))
+        select[order] = np.arange(order.size)[:, None] < sizes
+        counts = prefer @ select
         cum_dist = np.cumsum(latent[order])
-        for k in k_grid:
-            kk = min(k, order.size)
-            votes = cum_votes[kk - 1] / kk
+        for t, (k, kk) in enumerate(zip(k_grid, sizes)):
+            votes = counts[:, t] / kk
             err = float(np.mean(np.abs(votes - truth)))
             out[(method, k)] = (err, float(cum_dist[kk - 1] / kk))
     return out
@@ -268,7 +283,7 @@ def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experime
     cfg.validate()
     rows = []
     for seed in cfg.replicate_seeds:
-        ctx = _build_context(cfg.model, seed, cfg.methods)
+        ctx = _build_context(cfg.model, seed, cfg.methods, n_jobs)
         per_query = _map_queries(
             ctx, range(cfg.model.n_agents), cfg.methods, cfg.k_grid, cfg.pair_sample_size, n_jobs
         )
@@ -303,7 +318,7 @@ def run_error_vs_position(
     rows = []
     edges = np.linspace(0.0, cfg.model.box, POSITION_BINS + 1)
     for seed in cfg.replicate_seeds:
-        ctx = _build_context(cfg.model, seed, cfg.methods)
+        ctx = _build_context(cfg.model, seed, cfg.methods, n_jobs)
         per_query = _map_queries(
             ctx, range(cfg.model.n_agents), cfg.methods, (k,), cfg.pair_sample_size, n_jobs
         )
@@ -346,7 +361,7 @@ def run_dim_sweep(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experimen
     for seed in cfg.replicate_seeds:
         for dim in cfg.dims:
             model = replace(cfg.model, dim=dim, box=cfg.model.box / math.sqrt(dim))
-            ctx = _build_context(model, seed, cfg.methods)
+            ctx = _build_context(model, seed, cfg.methods, n_jobs)
             per_query = _map_queries(
                 ctx, range(model.n_agents), cfg.methods, cfg.k_grid, 1, n_jobs
             )

@@ -21,6 +21,7 @@ normalized Kendall-tau distance, which is what every downstream bound needs.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +78,18 @@ def _count_inversions(x: np.ndarray, y: np.ndarray) -> int:
     return int(_kendall_dis(x, y.astype(np.intp, copy=False)))
 
 
-def discordance_matrix(matrix: np.ndarray) -> np.ndarray:
+def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndarray:
     """Symmetric (n, n) int64 matrix of exact Kendall-tau distances between
     the rows of a fully observed (n, m) positions matrix; zero diagonal.
 
     Each unordered pair is counted once. An unobserved (-1) entry raises
     ``ValueError``: partially observed rankings compare on their shared
     alternatives only, which ``kendall_tau`` handles.
+
+    With ``n_jobs > 1`` the rows are dealt round-robin (row i has n-1-i
+    pairs) to that many threads; the compiled kernel releases the GIL. Each
+    thread writes only the cells of its own rows, so the integers are the
+    serial ones.
     """
     matrix = np.asarray(matrix, dtype=np.intp)  # the kernel's type, cast once
     if matrix.ndim != 2:
@@ -93,10 +99,19 @@ def discordance_matrix(matrix: np.ndarray) -> np.ndarray:
     n, m = matrix.shape
     x = np.arange(1, m + 1, dtype=np.intp)
     out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        order = np.argsort(matrix[i])
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = _count_inversions(x, matrix[j, order] + 1)
+    jobs = max(1, min(n_jobs or 1, n - 1))  # no thread without a row
+
+    def count_rows(first: int) -> None:
+        for i in range(first, n - 1, jobs):
+            order = np.argsort(matrix[i])
+            for j in range(i + 1, n):
+                out[i, j] = out[j, i] = _count_inversions(x, matrix[j, order] + 1)
+
+    if jobs == 1:
+        count_rows(0)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(count_rows, range(jobs)))
     return out
 
 

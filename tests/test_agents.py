@@ -18,6 +18,7 @@ from plknn import (
     sample_rankings,
 )
 from plknn import rng
+from plknn.agents import vote_probabilities
 from plknn.kendall import agent_distances_from
 
 from _harness import bias_witness
@@ -178,6 +179,23 @@ def test_predict_pair_basics():
             predict_pair(ns, partial, a, b)
     with pytest.raises(ValueError, match="no neighbor ranks both"):
         predict_pair(NeighborSet(9, (), "global_knn", ("threshold", 0.0)), partial, 0, 1)
+
+
+def test_neighbor_ids_are_range_checked():
+    # an id outside [0, n) must not vote through negative indexing or end in
+    # an IndexError
+    matrix = rank_matrix([Ranking.from_order([0, 1, 2]), Ranking.from_order([2, 1, 0])])
+    pairs = np.array([[0, 2]])
+    for member in (-1, 2, 7):
+        with pytest.raises(ValueError, match="agent indices"):
+            predict_pair(NeighborSet(5, (member,), "oracle", ("top_k", 1)), matrix, 0, 2)
+        with pytest.raises(ValueError, match="agent indices"):
+            vote_probabilities(matrix, [member], pairs)
+    for member in (True, np.True_, 1.0, "1"):
+        with pytest.raises(ValueError, match="agent indices"):
+            vote_probabilities(matrix, [0, member], pairs)
+    assert vote_probabilities(matrix, np.array([1]), pairs)[0] == 0.0
+    assert vote_probabilities(matrix, (0, 1), pairs)[0] == 0.5
 
 
 def test_prediction_consistency_with_truth():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plknn import (
     ExperimentConfig,
@@ -13,7 +15,15 @@ from plknn import (
     sample_rankings,
     write_report_csv,
 )
-from plknn.experiments import CSV_HEADER, _build_context, _method_distances
+from plknn import agents, rng
+from plknn.agents import METHODS
+from plknn.experiments import (
+    CSV_HEADER,
+    _build_context,
+    _method_distances,
+    _query_errors,
+    _SeedContext,
+)
 
 
 def _tiny_config(seed=0, **overrides):
@@ -57,6 +67,63 @@ def test_context_builds_only_the_distances_its_methods_use():
         assert tuple(order[:8]) == kt_knn(matrix, q, 8).members
 
 
+def _query_errors_reference(ctx, q, methods, k_grid, pair_count):
+    """The vote as two row-major gathers per method and a cumulative sum over
+    the neighbors, nearest first."""
+    pairs = agents.sample_pairs(
+        ctx.population.n_alternatives, pair_count, rng.substream(ctx.seed, rng.PAIR_SAMPLE, q)
+    )
+    truth = agents.true_probabilities(ctx.population, q, pairs)
+    latent = agents.oracle_distances(ctx.population, q)
+    out = {}
+    for method in methods:
+        dist = latent if method == "oracle" else _method_distances(ctx, method, q)
+        order = agents.neighbor_order(dist, q, max(k_grid))
+        prefer = ctx.matrix[np.ix_(order, pairs[:, 0])] < ctx.matrix[np.ix_(order, pairs[:, 1])]
+        cum_votes = np.cumsum(prefer, axis=0, dtype=np.float64)
+        cum_dist = np.cumsum(latent[order])
+        for k in k_grid:
+            kk = min(k, order.size)
+            votes = cum_votes[kk - 1] / kk
+            err = float(np.mean(np.abs(votes - truth)))
+            out[(method, k)] = (err, float(cum_dist[kk - 1] / kk))
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(3, 14),
+    m=st.integers(2, 40),
+    pair_count=st.integers(1, 60),
+    methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True),
+    k_grid=st.lists(st.integers(1, 18), min_size=1, max_size=5, unique=True).map(sorted),
+    seed=st.integers(0, 2**16),
+)
+def test_query_errors_match_the_cumulative_vote(n, m, pair_count, methods, k_grid, seed):
+    # the one-gather matrix-product vote equals the per-method gathers and
+    # cumulative sums bit for bit, k >= n - 1 included
+    model = ModelConfig(n_agents=n, n_alternatives=m, dim=1, box=5.0, seed=seed)
+    ctx = _build_context(model, seed, methods)
+    k_grid = tuple(k_grid) + (n - 1, n + 3) if max(k_grid) < n - 1 else tuple(k_grid)
+    for q in range(n):
+        got = _query_errors(ctx, q, methods, k_grid, pair_count)
+        assert got == _query_errors_reference(ctx, q, methods, k_grid, pair_count)
+
+
+def test_context_refuses_unobserved_entries():
+    # an unobserved -1 would vote as the top position
+    model = _tiny_config().model
+    ctx = _build_context(model, 0, ("oracle",))
+    assert ctx.columns.flags.c_contiguous and ctx.columns.dtype == np.int32
+    assert np.array_equal(ctx.columns, ctx.matrix.T)
+    matrix = ctx.matrix.copy()
+    matrix[3, 5] = -1
+    with pytest.raises(ValueError, match="-1"):
+        _SeedContext(
+            population=ctx.population, matrix=matrix, features=None, discordance=None, seed=0
+        )
+
+
 def test_config_hash_sensitivity():
     assert _tiny_config().config_hash() == _tiny_config().config_hash()
     changed = _tiny_config(pair_sample_size=61)
@@ -87,13 +154,15 @@ def test_error_vs_k_rows_and_determinism(tmp_path):
 
 
 def test_error_vs_k_parallel_matches_serial(tmp_path):
+    # n_jobs reaches both the query pool and the Kendall build
     cfg = _tiny_config()
-    serial = run_error_vs_k(cfg, n_jobs=1)
-    threaded = run_error_vs_k(cfg, n_jobs=4)
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "threads.csv"
-    write_report_csv(serial, p1)
-    write_report_csv(threaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert set(cfg.methods) == set(METHODS)
+    written = []
+    for n_jobs in (None, 1, 2, 4):
+        path = tmp_path / f"jobs{n_jobs}.csv"
+        write_report_csv(run_error_vs_k(cfg, n_jobs=n_jobs), path)
+        written.append(path.read_bytes())
+    assert all(data == written[0] for data in written)
 
 
 def test_csv_schema_and_hash_column(tmp_path):

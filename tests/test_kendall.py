@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -137,6 +138,17 @@ def test_discordance_matrix_matches_naive(orders):
         assert d[i, j] == kendall_tau_naive(rankings[i], rankings[j])
 
 
+@settings(deadline=None, max_examples=40)
+@given(_permutation_sets(), st.integers(2, 3))
+def test_discordance_matrix_threads_match_serial(orders, extra):
+    # rows split across threads give the serial integers, also with more
+    # threads than rows
+    matrix = rank_matrix([_perm_ranking(o) for o in orders])
+    serial = discordance_matrix(matrix)
+    for n_jobs in (2, 3, matrix.shape[0] + extra):
+        assert np.array_equal(discordance_matrix(matrix, n_jobs=n_jobs), serial)
+
+
 @settings(deadline=None, max_examples=80)
 @given(_partial_pairs())
 def test_fast_matches_naive_on_partial_property(pair):
@@ -263,6 +275,27 @@ def test_discordance_matrix_rejects_unobserved_without_hanging():
     worker.join(timeout=30)
     assert not worker.is_alive(), "discordance_matrix hung on an unobserved entry"
     assert len(outcome) == 1
+
+
+def test_discordance_matrix_threads_under_fast_switching():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a lost or misplaced write shows as a cell that differs from serial
+    gen = np.random.default_rng(3)
+    matrix = np.array([gen.permutation(200) for _ in range(60)])
+    serial = discordance_matrix(matrix)
+    outcome = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: outcome.append(discordance_matrix(matrix, n_jobs=8)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "threaded discordance_matrix did not finish"
+    assert len(outcome) == 1 and np.array_equal(outcome[0], serial)
 
 
 @settings(deadline=None, max_examples=40)
