@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -77,13 +77,13 @@ def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
     Entry ``a`` is NaN (self-pair undefined); entries with no co-ranking
     agent are NaN as well.
     """
-    pos_a = matrix[:, a]
-    usable = (pos_a[:, None] >= 0) & (matrix >= 0)
-    s = np.where(pos_a[:, None] > matrix, 1.0, -1.0)
-    s = np.where(usable, s, 0.0)
-    counts = usable.sum(axis=0)
+    pos_a = matrix[:, a, None]
+    usable = (pos_a >= 0) & (matrix >= 0)
+    counts = np.count_nonzero(usable, axis=0)
+    # the +1 signs; the sum of all signs is above - (counts - above)
+    above = np.count_nonzero((pos_a > matrix) & usable, axis=0)
     with np.errstate(invalid="ignore"):
-        out = np.abs(s.sum(axis=0)) / counts
+        out = np.abs(2 * above - counts) / counts
     out[counts == 0] = np.nan
     out[a] = np.nan
     return out
@@ -92,12 +92,22 @@ def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
 def candidate_set(matrix: np.ndarray, a: int, ell: float) -> CandidateSet:
     """All alternatives whose sign distance to ``a`` is at most 1/ell."""
     _check_alternatives(matrix, a)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    if isinstance(ell, bool) or not isinstance(ell, Real) or not math.isfinite(ell) or ell < 1:
+        raise ValueError(f"ell must be a finite real number >= 1, got {ell!r}")
     distances = _sign_distance_columns(matrix, a)
     # NaN entries (the query itself, pairs no agent ranks) compare False
     members = [a, *np.flatnonzero(distances <= 1.0 / ell).tolist()]
     return CandidateSet(query=int(a), members=tuple(sorted(members)), ell=float(ell))
+
+
+def _half_boundaries(matrix: np.ndarray):
+    """Per-agent bound of the first half, as an (n, 1) column: an agent
+    observing s alternatives puts 0-based positions below ceil(s/2) in its
+    first half. One integer when every agent observes all m."""
+    if not np.any(matrix < 0):
+        return (matrix.shape[1] + 1) // 2
+    sizes = np.count_nonzero(matrix >= 0, axis=1)
+    return ((sizes + 1) // 2)[:, None]
 
 
 def _first_half(matrix: np.ndarray) -> np.ndarray:
@@ -106,21 +116,24 @@ def _first_half(matrix: np.ndarray) -> np.ndarray:
     For an agent observing s alternatives the first half is positions
     1..ceil(s/2) (1-based); unobserved entries are False.
     """
-    sizes = (matrix >= 0).sum(axis=1)
-    boundary = np.ceil(sizes / 2.0).astype(np.int64)
-    return (matrix >= 0) & (matrix < boundary[:, None])
+    return (matrix >= 0) & (matrix < _half_boundaries(matrix))
 
 
 def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
     """Half statistic of ``a`` against each alternative in ``others``: the
-    fraction of the agents ranking both that put the two in the same half."""
-    usable = (matrix[:, a, None] >= 0) & (matrix[:, others] >= 0)
-    counts = usable.sum(axis=0)
+    fraction of the agents ranking both that put the two in the same half.
+
+    Only the columns of ``a`` and ``others`` are compared; each agent's half
+    boundary still counts every alternative it observes."""
+    pos_a, pos = matrix[:, a, None], np.take(matrix, others, axis=1)
+    usable = (pos_a >= 0) & (pos >= 0)
+    counts = np.count_nonzero(usable, axis=0)
     if np.any(counts == 0):
         raise ValueError(f"no agent ranks both {a} and {others[int(np.argmin(counts))]}")
-    halves = _first_half(matrix)
-    same = (halves[:, a, None] == halves[:, others]) & usable
-    return same.sum(axis=0) / counts
+    boundary = _half_boundaries(matrix)
+    # where both are observed, first-half membership is position < boundary
+    same = ((pos_a < boundary) == (pos < boundary)) & usable
+    return np.count_nonzero(same, axis=0) / counts
 
 
 def half_stat(matrix: np.ndarray, a: int, b: int) -> HalfStat:

@@ -9,9 +9,10 @@ values: a 0 in its second argument makes it loop forever, so positions are
 shifted by one and unobserved (-1) entries are refused before it is called.
 If the symbol cannot be imported, the count is recovered from the public
 ``stats.kendalltau`` statistic instead; for strict orders both give the same
-integer. ``kendall_tau`` and ``nkt`` count one pair of rankings on their
-shared alternatives; ``discordance_matrix`` counts every unordered pair of a
-fully observed positions matrix once.
+integer. scipy is imported by the first count, not with plknn. ``kendall_tau``
+and ``nkt`` count one pair of rankings on their shared alternatives;
+``discordance_matrix`` counts every unordered pair of a fully observed
+positions matrix once.
 
 Convention note: the per-pair indicator S_k is 1 when the pair is DISCORDANT
 between the two rankings (product of rank differences negative). Only this
@@ -25,15 +26,27 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import rng
 from .rankings import Ranking
 
-try:
-    from scipy.stats._stats import _kendall_dis
-except ImportError:  # private symbol; fall back to the public statistic
-    _kendall_dis = None
+_UNRESOLVED = object()
+# scipy's compiled kernel once resolved; None selects the public statistic
+_kendall_dis = _UNRESOLVED
+
+
+def _resolve_kernel():
+    """scipy's compiled counting kernel, or None when its private symbol is
+    missing; the first call imports scipy."""
+    global _kendall_dis
+    if _kendall_dis is _UNRESOLVED:
+        try:
+            from scipy.stats._stats import _kendall_dis
+        except ImportError:  # private symbol; fall back to the public statistic
+            _kendall_dis = None
+    if _kendall_dis is None:
+        import scipy.stats  # noqa: F401 -- loaded here, before any thread counts
+    return _kendall_dis
 
 
 def _shared_positions(r1: Ranking, r2: Ranking) -> tuple[np.ndarray, np.ndarray]:
@@ -61,21 +74,24 @@ def _discordant_from_positions(p1: np.ndarray, p2: np.ndarray) -> int:
     """Exact count of pairs ordered oppositely by two strict position vectors
     (0-based, nonnegative positions of the same alternatives in two rankings)."""
     order = np.argsort(p1)
-    return _count_inversions(np.arange(1, p1.size + 1, dtype=np.intp), p2[order] + 1)
+    x = np.arange(1, p1.size + 1, dtype=np.intp)
+    return _count_inversions(x, p2[order] + 1, _resolve_kernel())
 
 
-def _count_inversions(x: np.ndarray, y: np.ndarray) -> int:
+def _count_inversions(x: np.ndarray, y: np.ndarray, kernel) -> int:
     """Discordant pairs of (x, y), where x is 1..s ascending and y holds
     distinct values >= 1: the second ranking's positions, shifted by one, in
-    the first ranking's order. The compiled kernel needs y >= 1; a 0 never
-    terminates."""
-    if _kendall_dis is None:
+    the first ranking's order. ``kernel`` is ``_resolve_kernel()``. The
+    compiled kernel needs y >= 1; a 0 never terminates."""
+    if kernel is None:
+        from scipy import stats
+
         # Strict orders have no ties, so tau-b reduces to
         # (concordant - discordant) / C(s, 2) and the count recovers exactly.
         pairs = x.size * (x.size - 1) // 2
         tau = stats.kendalltau(x, y).statistic
         return int(round(pairs * (1.0 - tau) / 2.0))
-    return int(_kendall_dis(x, y.astype(np.intp, copy=False)))
+    return int(kernel(x, y.astype(np.intp, copy=False)))
 
 
 def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndarray:
@@ -98,6 +114,7 @@ def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndar
         raise ValueError("positions matrix has unobserved (-1) entries")
     n, m = matrix.shape
     x = np.arange(1, m + 1, dtype=np.intp)
+    kernel = _resolve_kernel()
     out = np.zeros((n, n), dtype=np.int64)
     jobs = max(1, min(n_jobs or 1, n - 1))  # no thread without a row
 
@@ -105,7 +122,7 @@ def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndar
         for i in range(first, n - 1, jobs):
             order = np.argsort(matrix[i])
             for j in range(i + 1, n):
-                out[i, j] = out[j, i] = _count_inversions(x, matrix[j, order] + 1)
+                out[i, j] = out[j, i] = _count_inversions(x, matrix[j, order] + 1, kernel)
 
     if jobs == 1:
         count_rows(0)

@@ -94,10 +94,39 @@ def _utilities(x: np.ndarray, alternatives: np.ndarray) -> np.ndarray:
     return np.exp(-np.linalg.norm(alternatives - x[None, :], axis=1))
 
 
+def _gumbel_keys(neg_log_util: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Sort keys of the Gumbel-max sampler, best first: minus the perceived
+    utility log(util) - log(-log(U)), computed in place in ``uniforms``.
+
+    Each key equals the negated perceived utility bit for bit (IEEE negation
+    and rounding are symmetric), except that a zero may change sign."""
+    np.log(uniforms, out=uniforms)
+    np.negative(uniforms, out=uniforms)
+    np.log(uniforms, out=uniforms)
+    uniforms += neg_log_util
+    return uniforms
+
+
+def _row_orders(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, axis=1, kind="stable")``, with timsort run only on
+    the rows that need it.
+
+    Every row is sorted by numpy's default (unstable, vectorized) kind first.
+    A row whose sorted keys are strictly increasing has distinct, non-NaN
+    keys, so its order is unique and any sort returns it; the others (equal
+    keys, NaN) are sorted again stably, which breaks ties by ascending index.
+    """
+    order = np.argsort(keys, axis=1)
+    ranked = np.sort(keys, axis=1)  # cheaper than gathering keys by ``order``
+    tied = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
+    if tied.size:
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    return order
+
+
 def _gumbel_order(log_u: np.ndarray, generator: np.random.Generator) -> np.ndarray:
-    u = generator.random(log_u.shape[-1])
-    perceived = log_u - np.log(-np.log(u))
-    return np.argsort(-perceived, kind="stable")
+    keys = _gumbel_keys(-log_u, generator.random(log_u.shape[-1]))
+    return _row_orders(keys[None, :])[0]
 
 
 def sample_ranking(x, alternatives, rng_stream: np.random.Generator, method: str = "gumbel") -> Ranking:
@@ -225,8 +254,7 @@ def positions_matrix(
             u = np.empty((stop - start, m))
             for i in range(start, stop):
                 u[i - start] = rng.substream(seed, rng.RANKINGS, i).random(m)
-        perceived = -dists - np.log(-np.log(u))
-        order = np.argsort(-perceived, axis=1, kind="stable")
+        order = _row_orders(_gumbel_keys(dists, u))
         np.put_along_axis(out[start:stop], order, np.arange(m, dtype=np.int32)[None, :], axis=1)
     return out
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import rng
 from .kendall import agent_distance, feature_matrix
@@ -342,6 +341,8 @@ def expected_agent_gap_curve(
 ):
     """Interpolator for x_k -> |F(x_base; x_k) - F(x_base+eps; x_k)| with the
     inner alternative/ranking expectation computed exactly by quadrature."""
+    from scipy.interpolate import PchipInterpolator
+
     x_i, x_j = x_base, x_base + eps
     knots = np.union1d(np.round(np.linspace(0.0, 1.0, grid_size), 12), [x_i, x_j])
     gap = np.array(

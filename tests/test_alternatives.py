@@ -81,8 +81,13 @@ def test_candidate_set_trivial_threshold_and_monotonicity():
         if prev is not None:
             assert members <= prev
         prev = members
-    with pytest.raises(ValueError):
-        candidate_set(rankings, 3, ell=0.5)
+    # nan once kept only the query, and True was taken as 1
+    for bad in (0.5, 0, -1.0, float("nan"), float("inf"), True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match="ell must be"):
+            candidate_set(rankings, 3, ell=bad)
+        with pytest.raises(ValueError, match="ell must be"):
+            alt_neighbors(rankings, 3, ell=bad)
+    assert candidate_set(rankings, 3, ell=np.float64(5.0)) == candidate_set(rankings, 3, ell=5)
 
 
 def test_candidate_set_relabeling_symmetry():
@@ -137,6 +142,54 @@ def test_half_stats_equal_the_per_pair_mean():
     partial = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 1])])
     with pytest.raises(ValueError, match="no agent ranks both 0 and 2"):
         _half_stats(partial, 0, [1, 2])
+
+
+def _sign_distance_reference(matrix, a):
+    """The sign distances as a float sum of +-1 terms, one per co-ranking agent."""
+    pos_a = matrix[:, a]
+    usable = (pos_a[:, None] >= 0) & (matrix >= 0)
+    s = np.where(pos_a[:, None] > matrix, 1.0, -1.0)
+    s = np.where(usable, s, 0.0)
+    counts = usable.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        out = np.abs(s.sum(axis=0)) / counts
+    out[counts == 0] = np.nan
+    out[a] = np.nan
+    return out
+
+
+def _half_stats_reference(matrix, a, others):
+    """The half statistics from the first-half membership of the whole matrix."""
+    usable = (matrix[:, a, None] >= 0) & (matrix[:, others] >= 0)
+    boundary = np.ceil((matrix >= 0).sum(axis=1) / 2.0).astype(np.int64)
+    halves = (matrix >= 0) & (matrix < boundary[:, None])
+    same = (halves[:, a, None] == halves[:, others]) & usable
+    return same.sum(axis=0) / usable.sum(axis=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 40), st.integers(2, 14), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_integer_statistics_equal_their_float_references(n, m, hidden, seed):
+    # partially observed matrices, some columns ranked by no agent: the
+    # integer counts give the float references' values bit for bit, NaN where
+    # no agent ranks both
+    gen = np.random.default_rng(seed)
+    matrix = np.full((n, m), -1, dtype=np.int32)
+    dark = gen.random(m) < 0.2  # columns no agent observes
+    for i in range(n):
+        seen = np.flatnonzero((gen.random(m) >= hidden) & ~dark)
+        matrix[i, gen.permutation(seen)] = np.arange(seen.size)
+    for a in range(m):
+        got = _sign_distance_columns(matrix, a)
+        assert np.array_equal(got, _sign_distance_reference(matrix, a), equal_nan=True)
+        others = [b for b in range(m) if b != a]
+        with np.errstate(invalid="ignore"):
+            expect = _half_stats_reference(matrix, a, others)
+        if np.all(np.isfinite(expect)):
+            assert np.array_equal(_half_stats(matrix, a, others), expect)
+        else:
+            with pytest.raises(ValueError, match="no agent ranks both"):
+                _half_stats(matrix, a, others)
 
 
 def test_half_stat_co_location_beats_mirror():

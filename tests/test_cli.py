@@ -112,6 +112,26 @@ def test_alt_sim_rejects_an_alternative_outside_the_range(model_config_file, cap
     assert len(err) == 1 and err[0].startswith("error: alternative index")
 
 
+@pytest.mark.parametrize("ell", ["nan", "inf", "0.5"])
+def test_alt_sim_rejects_a_bad_ell(model_config_file, capsys, ell):
+    # nan once exited 0 and printed "ell": NaN, which is not JSON
+    assert main(
+        ["alt-sim", "--query", "2", "--ell", ell, "--config", str(model_config_file)]
+    ) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ell must be")
+
+
+def test_alt_sim_rejects_a_boolean_ell(model_config_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["alt-sim", "--query", "2", "--ell", "True", "--config", str(model_config_file)])
+    assert exit_info.value.code == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument --ell" in captured.err
+
+
 def test_alt_sim_prints_the_split_that_split_cluster_used(tmp_path, capsys):
     # box 5 separates the two clusters: the centroid gap (about 0.31) clears
     # the merge threshold 2/sqrt(200) (about 0.14), so a cluster is dropped

@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +314,23 @@ def test_public_fallback_gives_identical_counts(orders, pair):
     finally:
         plknn.kendall._kendall_dis = saved
     assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1]
+
+
+def test_importing_plknn_loads_no_scipy():
+    # scipy is imported by the first Kendall count, not by `import plknn`
+    code = (
+        "import sys, plknn\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "plknn.kendall_tau(plknn.Ranking.from_order([0, 1, 2]), plknn.Ranking.from_order([2, 1, 0]))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(plknn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "True"]
 
 
 def test_nkt_random_rankings_concentrate_at_half():

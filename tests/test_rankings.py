@@ -21,7 +21,7 @@ from plknn import (
     write_rankings_csv,
 )
 from plknn import rng
-from plknn.rankings import _gumbel_order, positions_matrix
+from plknn.rankings import _row_orders, positions_matrix
 
 from _harness import gumbel_orders, sequential_orders
 
@@ -189,18 +189,29 @@ def test_sample_rankings_substreams_and_partial():
         sample_rankings(pop, seed=21, c_obs=0.5)
 
 
+def _distances(population):
+    return np.linalg.norm(
+        population.agents[:, None, :] - population.alternatives[None, :, :], axis=2
+    )
+
+
+def _stable_gumbel_orders(dists, u):
+    """Reference Gumbel-max orders: a stable argsort of minus the perceived
+    utility, ties broken by ascending index."""
+    perceived = -dists - np.log(-np.log(u))
+    return np.argsort(-perceived, axis=-1, kind="stable")
+
+
 def _per_agent_reference(population, seed, c_obs=1.0):
     """Reference sampler: agent i's Gumbel order from its own substream
     (seed, RANKINGS, i), restricted to the subset drawn from (seed,
     OBSERVATION, i), written as 0-based positions with -1 unobserved."""
     n, m = population.n_agents, population.n_alternatives
     n_obs = int(m // c_obs)
-    dists = np.linalg.norm(
-        population.agents[:, None, :] - population.alternatives[None, :, :], axis=2
-    )
+    dists = _distances(population)
     out = np.full((n, m), -1, dtype=np.int64)
     for i in range(n):
-        order = _gumbel_order(-dists[i], rng.substream(seed, rng.RANKINGS, i))
+        order = _stable_gumbel_orders(dists[i], rng.substream(seed, rng.RANKINGS, i).random(m))
         if n_obs < m:
             subset = rng.substream(seed, rng.OBSERVATION, i).choice(m, size=n_obs, replace=False)
             keep = np.zeros(m, dtype=bool)
@@ -229,6 +240,46 @@ def test_sample_rankings_match_reference_across_a_chunk_boundary():
     for c_obs in (1.0, 1.5):
         expect = _per_agent_reference(pop, 4, c_obs)
         assert np.array_equal(sample_rankings(pop, seed=4, c_obs=c_obs), expect)
+
+
+def test_batched_positions_match_reference_across_a_chunk_boundary():
+    # one substream for all agents, consumed chunk after chunk (8192 agents
+    # each), is the same stream as one draw for the whole population
+    cfg = ModelConfig(n_agents=8200, n_alternatives=40, dim=1, box=1.0, seed=5)
+    pop = sample_population(cfg)
+    u = rng.substream(5, rng.RANKINGS).random((8200, 40))
+    order = _stable_gumbel_orders(_distances(pop), u)
+    expect = np.empty_like(order)
+    np.put_along_axis(expect, order, np.arange(40)[None, :], axis=1)
+    assert np.array_equal(positions_matrix(pop, seed=5, stream="batched"), expect)
+
+
+_TIE_PRONE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_row_orders_equal_a_stable_argsort(data):
+    # keys with many ties, signed zeros, infinities and NaN: every row comes
+    # out as the stable sort orders it, ties by ascending index
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 80))
+    values = data.draw(st.lists(_TIE_PRONE, min_size=rows * cols, max_size=rows * cols))
+    keys = np.array(values, dtype=float).reshape(rows, cols)
+    assert np.array_equal(_row_orders(keys.copy()), np.argsort(keys, axis=1, kind="stable"))
+
+
+def test_row_orders_break_ties_by_index():
+    # numpy's default sort is not stable on long runs of equal keys
+    gen = np.random.default_rng(0)
+    keys = gen.integers(0, 4, size=(50, 300)).astype(float)
+    keys[::2, ::3] = np.nan
+    keys[1::4] = -0.0
+    keys[1::4, ::2] = 0.0
+    assert np.array_equal(_row_orders(keys), np.argsort(keys, axis=1, kind="stable"))
 
 
 @settings(deadline=None, max_examples=40)
