@@ -100,14 +100,18 @@ def candidate_set(matrix: np.ndarray, a: int, ell: float) -> CandidateSet:
     return CandidateSet(query=int(a), members=tuple(sorted(members)), ell=float(ell))
 
 
-def _half_boundaries(matrix: np.ndarray):
+def _half_boundaries(matrix: np.ndarray) -> np.ndarray:
     """Per-agent bound of the first half, as an (n, 1) column: an agent
     observing s alternatives puts 0-based positions below ceil(s/2) in its
-    first half. One integer when every agent observes all m."""
-    if not np.any(matrix < 0):
-        return (matrix.shape[1] + 1) // 2
+    first half."""
     sizes = np.count_nonzero(matrix >= 0, axis=1)
     return ((sizes + 1) // 2)[:, None]
+
+
+def _in_first_half(positions: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Boolean first-half membership of some columns of the positions matrix,
+    given every agent's ``_half_boundaries``; unobserved entries are False."""
+    return (positions >= 0) & (positions < boundary)
 
 
 def _first_half(matrix: np.ndarray) -> np.ndarray:
@@ -116,7 +120,7 @@ def _first_half(matrix: np.ndarray) -> np.ndarray:
     For an agent observing s alternatives the first half is positions
     1..ceil(s/2) (1-based); unobserved entries are False.
     """
-    return (matrix >= 0) & (matrix < _half_boundaries(matrix))
+    return _in_first_half(matrix, _half_boundaries(matrix))
 
 
 def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
@@ -131,8 +135,7 @@ def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
     if np.any(counts == 0):
         raise ValueError(f"no agent ranks both {a} and {others[int(np.argmin(counts))]}")
     boundary = _half_boundaries(matrix)
-    # where both are observed, first-half membership is position < boundary
-    same = ((pos_a < boundary) == (pos < boundary)) & usable
+    same = (_in_first_half(pos_a, boundary) == _in_first_half(pos, boundary)) & usable
     return np.count_nonzero(same, axis=0) / counts
 
 

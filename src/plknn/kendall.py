@@ -44,8 +44,6 @@ def _resolve_kernel():
             from scipy.stats._stats import _kendall_dis
         except ImportError:  # private symbol; fall back to the public statistic
             _kendall_dis = None
-    if _kendall_dis is None:
-        import scipy.stats  # noqa: F401 -- loaded here, before any thread counts
     return _kendall_dis
 
 
