@@ -15,7 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .kendall import FeatureMatrix, _discordant_from_positions, agent_distances_from
+from .kendall import FeatureMatrix, _discordances, agent_distances_from
 from .latent import Population, pairwise_prob
 
 METHODS = ("kt_knn", "global_knn", "oracle")
@@ -94,13 +94,7 @@ def kt_knn(matrix: np.ndarray, query: int, k: int) -> NeighborSet:
     _check_query(n, query, k=k)
     if n < k + 1:
         raise ValueError("need at least k+1 agents")
-    q_row = matrix[query]
-    shared = (q_row >= 0) & (matrix >= 0)
-    if np.any(shared.sum(axis=1) < 2):
-        raise ValueError("rankings share fewer than 2 alternatives")
-    distances = np.array(
-        [_discordant_from_positions(q_row[s], row[s]) for row, s in zip(matrix, shared)], float
-    )
+    distances = _discordances(matrix[query], matrix).astype(float)
     distances[query] = np.inf
     return NeighborSet(int(query), neighbor_order(distances, query, k), "kt_knn", ("top_k", k))
 

@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_knn)
 
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", type=int, required=True, help="alternative index")
     p.add_argument("--ell", type=float, required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_alt_sim)
 

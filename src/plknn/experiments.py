@@ -277,32 +277,51 @@ def _map_queries(ctx, queries, methods, k_grid, pair_count, n_jobs):
     return [stats for _, stats in sorted(results, key=lambda item: item[0])]
 
 
+def _sweep(cfg: ExperimentConfig, models, k_grid, pair_count: int, n_jobs: int | None):
+    """(seed, dim, context, per-query stats) for each replicate seed and model
+    in turn; every agent serves once as the query, stats in query order."""
+    for seed in cfg.replicate_seeds:
+        for model in models:
+            ctx = _build_context(model, seed, cfg.methods, n_jobs)
+            queries = range(model.n_agents)
+            yield seed, model.dim, ctx, _map_queries(
+                ctx, queries, cfg.methods, k_grid, pair_count, n_jobs
+            )
+
+
+def _summary_row(
+    per_query, method: str, k: int, dim: int, seed: int, query_bin=None, errors: bool = True
+) -> ReportRow:
+    """Mean error, its standard error (0.0 for one query) and mean neighbor
+    distance over ``per_query`` at (method, k); ``errors=False`` leaves the
+    error columns empty."""
+    errs = np.array([stats[(method, k)][0] for stats in per_query])
+    dists = np.array([stats[(method, k)][1] for stats in per_query])
+    stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
+    return ReportRow(
+        method=method,
+        k=k,
+        dim=dim,
+        seed=seed,
+        query_bin=query_bin,
+        error_mean=float(errs.mean()) if errors else None,
+        error_stderr=stderr if errors else None,
+        neighbor_dist_mean=float(dists.mean()),
+    )
+
+
 def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> ExperimentReport:
     """Error and neighbor-distance summary per (method, k, seed); every agent
     serves once as the query and errors are averaged over queries."""
     cfg.validate()
-    rows = []
-    for seed in cfg.replicate_seeds:
-        ctx = _build_context(cfg.model, seed, cfg.methods, n_jobs)
-        per_query = _map_queries(
-            ctx, range(cfg.model.n_agents), cfg.methods, cfg.k_grid, cfg.pair_sample_size, n_jobs
+    rows = [
+        _summary_row(per_query, method, k, dim, seed)
+        for seed, dim, _, per_query in _sweep(
+            cfg, [cfg.model], cfg.k_grid, cfg.pair_sample_size, n_jobs
         )
-        for method in cfg.methods:
-            for k in cfg.k_grid:
-                errs = np.array([stats[(method, k)][0] for stats in per_query])
-                dists = np.array([stats[(method, k)][1] for stats in per_query])
-                rows.append(
-                    ReportRow(
-                        method=method,
-                        k=k,
-                        dim=cfg.model.dim,
-                        seed=seed,
-                        query_bin=None,
-                        error_mean=float(errs.mean()),
-                        error_stderr=float(errs.std(ddof=1) / math.sqrt(errs.size)),
-                        neighbor_dist_mean=float(dists.mean()),
-                    )
-                )
+        for method in cfg.methods
+        for k in cfg.k_grid
+    ]
     return ExperimentReport(rows=tuple(rows), config_hash=cfg.config_hash())
 
 
@@ -317,33 +336,13 @@ def run_error_vs_position(
         raise ValueError("k must be below the number of agents")
     rows = []
     edges = np.linspace(0.0, cfg.model.box, POSITION_BINS + 1)
-    for seed in cfg.replicate_seeds:
-        ctx = _build_context(cfg.model, seed, cfg.methods, n_jobs)
-        per_query = _map_queries(
-            ctx, range(cfg.model.n_agents), cfg.methods, (k,), cfg.pair_sample_size, n_jobs
-        )
-        positions = ctx.population.agents[:, 0]
-        bins = np.clip(np.digitize(positions, edges) - 1, 0, POSITION_BINS - 1)
+    for seed, dim, ctx, per_query in _sweep(cfg, [cfg.model], (k,), cfg.pair_sample_size, n_jobs):
+        bins = np.clip(np.digitize(ctx.population.agents[:, 0], edges) - 1, 0, POSITION_BINS - 1)
         for method in cfg.methods:
             for b in range(POSITION_BINS):
-                idx = np.flatnonzero(bins == b)
-                if idx.size == 0:
-                    continue
-                errs = np.array([per_query[q][(method, k)][0] for q in idx])
-                dists = np.array([per_query[q][(method, k)][1] for q in idx])
-                stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
-                rows.append(
-                    ReportRow(
-                        method=method,
-                        k=k,
-                        dim=1,
-                        seed=seed,
-                        query_bin=b,
-                        error_mean=float(errs.mean()),
-                        error_stderr=stderr,
-                        neighbor_dist_mean=float(dists.mean()),
-                    )
-                )
+                in_bin = [per_query[q] for q in np.flatnonzero(bins == b)]
+                if in_bin:
+                    rows.append(_summary_row(in_bin, method, k, dim, seed, query_bin=b))
     return ExperimentReport(rows=tuple(rows), config_hash=cfg.config_hash())
 
 
@@ -357,27 +356,11 @@ def run_dim_sweep(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experimen
     cfg.validate()
     if not cfg.dims:
         raise ValueError("dims must be nonempty")
-    rows = []
-    for seed in cfg.replicate_seeds:
-        for dim in cfg.dims:
-            model = replace(cfg.model, dim=dim, box=cfg.model.box / math.sqrt(dim))
-            ctx = _build_context(model, seed, cfg.methods, n_jobs)
-            per_query = _map_queries(
-                ctx, range(model.n_agents), cfg.methods, cfg.k_grid, 1, n_jobs
-            )
-            for method in cfg.methods:
-                for k in cfg.k_grid:
-                    dists = np.array([stats[(method, k)][1] for stats in per_query])
-                    rows.append(
-                        ReportRow(
-                            method=method,
-                            k=k,
-                            dim=dim,
-                            seed=seed,
-                            query_bin=None,
-                            error_mean=None,
-                            error_stderr=None,
-                            neighbor_dist_mean=float(dists.mean()),
-                        )
-                    )
+    models = [replace(cfg.model, dim=d, box=cfg.model.box / math.sqrt(d)) for d in cfg.dims]
+    rows = [
+        _summary_row(per_query, method, k, dim, seed, errors=False)
+        for seed, dim, _, per_query in _sweep(cfg, models, cfg.k_grid, 1, n_jobs)
+        for method in cfg.methods
+        for k in cfg.k_grid
+    ]
     return ExperimentReport(rows=tuple(rows), config_hash=cfg.config_hash())

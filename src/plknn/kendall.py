@@ -1,18 +1,17 @@
 """Kendall-tau machinery: exact distances, pair-sampled estimators, and the
 global feature matrix with its agent distance.
 
-Exact distances are integer discordant-pair counts, and one function makes
-them all: ``_count_inversions`` runs scipy's compiled merge-sort/Fenwick
-kernel (``scipy.stats._stats._kendall_dis``; Knight 1966, JASA 61:436) on the
-pair ordered by the first ranking. That kernel is private and takes 1-based
-values: a 0 in its second argument makes it loop forever, so positions are
-shifted by one and unobserved (-1) entries are refused before it is called.
-If the symbol cannot be imported, the count is recovered from the public
-``stats.kendalltau`` statistic instead; for strict orders both give the same
-integer. scipy is imported by the first count, not with plknn. ``kendall_tau``
-and ``nkt`` count one pair of rankings on their shared alternatives;
-``discordance_matrix`` counts every unordered pair of a fully observed
-positions matrix once.
+Every exact distance is an integer discordant-pair count made by one routine,
+``_discordances(row, rows)``: it argsorts one positions row once, gathers each
+other row's positions in that order, shifted by one, drops the alternatives
+that row leaves unobserved (-1, now 0) and counts what is left with
+``_count_inversions``. ``kendall_tau``, ``nkt``, ``agents.kt_knn`` and
+``discordance_matrix`` all call it. The count runs scipy's private compiled
+merge-sort/Fenwick kernel (``scipy.stats._stats._kendall_dis``; Knight 1966,
+JASA 61:436), which takes 1-based values and loops forever on a 0.
+Without that symbol the count is recovered from the public
+``stats.kendalltau`` statistic, the same integer for strict orders. scipy is
+imported by the first count, not with plknn.
 
 Convention note: the per-pair indicator S_k is 1 when the pair is DISCORDANT
 between the two rankings (product of rank differences negative). Only this
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .rankings import Ranking
+from .rankings import Ranking, rank_matrix
 
 _UNRESOLVED = object()
 # scipy's compiled kernel once resolved; None selects the public statistic
@@ -47,16 +46,12 @@ def _resolve_kernel():
     return _kendall_dis
 
 
-def _shared_positions(r1: Ranking, r2: Ranking) -> tuple[np.ndarray, np.ndarray]:
+def kendall_tau_naive(r1: Ranking, r2: Ranking) -> int:
+    """Reference O(s^2) discordant-pair count over the shared alternatives."""
     shared = np.intersect1d(r1.observed, r2.observed, assume_unique=True)
     if shared.size < 2:
         raise ValueError("rankings share fewer than 2 alternatives")
-    return r1.positions_of(shared), r2.positions_of(shared)
-
-
-def kendall_tau_naive(r1: Ranking, r2: Ranking) -> int:
-    """Reference O(s^2) discordant-pair count over the shared alternatives."""
-    p1, p2 = _shared_positions(r1, r2)
+    p1, p2 = r1.positions_of(shared), r2.positions_of(shared)
     d1 = np.sign(p1[:, None] - p1[None, :])
     d2 = np.sign(p2[:, None] - p2[None, :])
     return int(np.sum(d1 * d2 < 0) // 2)
@@ -64,23 +59,39 @@ def kendall_tau_naive(r1: Ranking, r2: Ranking) -> int:
 
 def kendall_tau(r1: Ranking, r2: Ranking) -> int:
     """Discordant-pair count over the shared alternatives, O(s log s)."""
-    p1, p2 = _shared_positions(r1, r2)
-    return _discordant_from_positions(p1, p2)
+    first, second = rank_matrix([r1, r2])
+    return int(_discordances(first, second[None, :])[0])
 
 
-def _discordant_from_positions(p1: np.ndarray, p2: np.ndarray) -> int:
-    """Exact count of pairs ordered oppositely by two strict position vectors
-    (0-based, nonnegative positions of the same alternatives in two rankings)."""
-    order = np.argsort(p1)
-    x = np.arange(1, p1.size + 1, dtype=np.intp)
-    return _count_inversions(x, p2[order] + 1, _resolve_kernel())
+def nkt(r1: Ranking, r2: Ranking) -> float:
+    """Normalized Kendall-tau distance: discordant pairs over C(s, 2)."""
+    s = np.intersect1d(r1.observed, r2.observed, assume_unique=True).size
+    return kendall_tau(r1, r2) / (s * (s - 1) // 2)
 
 
-def _count_inversions(x: np.ndarray, y: np.ndarray, kernel) -> int:
+def _discordances(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exact Kendall-tau distance (int64) from one positions row to each row
+    of the 2-D ``rows``, counted over the alternatives both observe (-1 marks
+    unobserved). Fewer than 2 shared alternatives raise ``ValueError``."""
+    order = np.argsort(row)[np.count_nonzero(row < 0) :]  # row's observed alternatives, best first
+    x = np.arange(1, order.size + 1, dtype=np.intp)
+    out = np.empty(len(rows), dtype=np.int64)
+    for t, other in enumerate(rows):
+        y = other[order] + 1  # in row's order, shifted by one: 0 is unobserved
+        if np.count_nonzero(y) < y.size:
+            y = y[y > 0]  # the kernel never returns on a 0
+        if y.size < 2:
+            raise ValueError("rankings share fewer than 2 alternatives")
+        out[t] = _count_inversions(x[: y.size], y)
+    return out
+
+
+def _count_inversions(x: np.ndarray, y: np.ndarray) -> int:
     """Discordant pairs of (x, y), where x is 1..s ascending and y holds
     distinct values >= 1: the second ranking's positions, shifted by one, in
-    the first ranking's order. ``kernel`` is ``_resolve_kernel()``. The
-    compiled kernel needs y >= 1; a 0 never terminates."""
+    the first ranking's order. The compiled kernel needs y >= 1; a 0 never
+    terminates."""
+    kernel = _resolve_kernel()
     if kernel is None:
         from scipy import stats
 
@@ -110,17 +121,13 @@ def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndar
         raise ValueError("positions matrix must be 2-D")
     if matrix.size and matrix.min() < 0:
         raise ValueError("positions matrix has unobserved (-1) entries")
-    n, m = matrix.shape
-    x = np.arange(1, m + 1, dtype=np.intp)
-    kernel = _resolve_kernel()
+    n = matrix.shape[0]
     out = np.zeros((n, n), dtype=np.int64)
     jobs = max(1, min(n_jobs or 1, n - 1))  # no thread without a row
 
     def count_rows(first: int) -> None:
         for i in range(first, n - 1, jobs):
-            order = np.argsort(matrix[i])
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = _count_inversions(x, matrix[j, order] + 1, kernel)
+            out[i, i + 1 :] = out[i + 1 :, i] = _discordances(matrix[i], matrix[i + 1 :])
 
     if jobs == 1:
         count_rows(0)
@@ -128,13 +135,6 @@ def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndar
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(count_rows, range(jobs)))
     return out
-
-
-def nkt(r1: Ranking, r2: Ranking) -> float:
-    """Normalized Kendall-tau distance: discordant pairs over C(s, 2)."""
-    p1, p2 = _shared_positions(r1, r2)
-    pairs = p1.size * (p1.size - 1) // 2
-    return _discordant_from_positions(p1, p2) / pairs
 
 
 def make_pairing(alt_ids, pairing_seed: int) -> np.ndarray:

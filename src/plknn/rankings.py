@@ -22,6 +22,7 @@ from . import rng
 from .latent import Population
 
 _MAX_EXACT_M = 8
+_CHUNK = 8192  # agents per block of positions_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +226,7 @@ def rank_matrix(rankings: list[Ranking], m: int | None = None) -> np.ndarray:
     return out
 
 
-def positions_matrix(
-    population: Population, seed: int, chunk: int = 8192, stream: str = "per_agent"
-) -> np.ndarray:
+def positions_matrix(population: Population, seed: int, stream: str = "per_agent") -> np.ndarray:
     """Full-observation Gumbel-max positions matrix computed in agent chunks,
     so populations of hundreds of thousands of agents fit in memory.
 
@@ -242,8 +241,8 @@ def positions_matrix(
     n, m = population.n_agents, population.n_alternatives
     batched_gen = rng.substream(seed, rng.RANKINGS) if stream == "batched" else None
     out = np.empty((n, m), dtype=np.int32)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
         dists = np.linalg.norm(
             population.agents[start:stop, None, :] - population.alternatives[None, :, :],
             axis=2,
@@ -255,7 +254,8 @@ def positions_matrix(
             for i in range(start, stop):
                 u[i - start] = rng.substream(seed, rng.RANKINGS, i).random(m)
         order = _row_orders(_gumbel_keys(dists, u))
-        np.put_along_axis(out[start:stop], order, np.arange(m, dtype=np.int32)[None, :], axis=1)
+        row_offsets = np.arange(0, (stop - start) * m, m)[:, None]
+        out[start:stop].reshape(-1)[order + row_offsets] = np.arange(m, dtype=np.int32)
     return out
 
 

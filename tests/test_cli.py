@@ -124,6 +124,22 @@ def test_alt_sim_rejects_a_bad_ell(model_config_file, capsys, ell):
     assert len(err) == 1 and err[0].startswith("error: ell must be")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["knn", "--method", "oracle", "--query", "0", "--k", "1"],
+        ["alt-sim", "--query", "2", "--ell", "4"],
+    ],
+)
+def test_query_commands_have_no_output_directory(model_config_file, tmp_path, capsys, argv):
+    # knn and alt-sim print JSON and write no file, so --out is not an option
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--config", str(model_config_file), "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == EXIT_FAILED
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_alt_sim_rejects_a_boolean_ell(model_config_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["alt-sim", "--query", "2", "--ell", "True", "--config", str(model_config_file)])
@@ -223,7 +239,7 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, command, change):
     data.update(change)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
-    assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == EXIT_FAILED
+    assert main(argv + ["--config", str(path)]) == EXIT_FAILED
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert next(iter(change)) in err[0]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from plknn import agents, rng
 from plknn.agents import METHODS
 from plknn.experiments import (
     CSV_HEADER,
+    POSITION_BINS,
     _build_context,
     _method_distances,
     _query_errors,
@@ -261,3 +264,28 @@ def test_dim_sweep_consistent_with_error_run_bookkeeping():
     errk = {(r.method,): r.neighbor_dist_mean for r in run_error_vs_k(cfg).rows}
     for key, value in sweep.items():
         assert value == pytest.approx(errk[key], rel=1e-12)
+
+
+def test_position_bins_average_to_the_error_vs_k_row():
+    # the same queries summarized two ways: weighting each bin by its query
+    # count gives back the all-query mean, and a lone query has no spread
+    cfg = _tiny_config(k_grid=(8,))
+    by_k = {(r.method, r.seed): r for r in run_error_vs_k(cfg).rows}
+    by_bin = run_error_vs_position(cfg, k=8)
+    edges = np.linspace(0.0, cfg.model.box, POSITION_BINS + 1)
+    lone = 0
+    for seed in cfg.replicate_seeds:
+        positions = sample_population(replace(cfg.model, seed=seed)).agents[:, 0]
+        counts = np.bincount(np.clip(np.digitize(positions, edges) - 1, 0, POSITION_BINS - 1))
+        for method in cfg.methods:
+            rows = [r for r in by_bin.rows if (r.method, r.seed) == (method, seed)]
+            assert [r.query_bin for r in rows] == np.flatnonzero(counts).tolist()
+            weights = counts[[r.query_bin for r in rows]]
+            for column in ("error_mean", "neighbor_dist_mean"):
+                mean = np.dot(weights, [getattr(r, column) for r in rows]) / weights.sum()
+                assert mean == pytest.approx(getattr(by_k[(method, seed)], column), rel=1e-12)
+            for row, count in zip(rows, weights):
+                if count == 1:
+                    lone += 1
+                    assert row.error_stderr == 0.0
+    assert lone > 0

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -29,7 +30,7 @@ from plknn import (
 )
 import plknn.kendall
 from plknn import rng
-from plknn.kendall import agent_distances_from
+from plknn.kendall import _discordances, agent_distances_from
 from plknn.theory import expected_agent_gap_curve
 
 
@@ -261,6 +262,44 @@ def test_kt_knn_matches_naive_neighbor_order(matrix, data):
     assert kt_knn(matrix, q, k).members == tuple(sorted(d, key=lambda j: (d[j], j))[:k])
 
 
+@contextlib.contextmanager
+def _kernel_as(kernel):
+    """Count with ``kernel`` in place of scipy's compiled one (None: the
+    public statistic)."""
+    saved = plknn.kendall._kendall_dis
+    plknn.kendall._kendall_dis = kernel
+    try:
+        yield
+    finally:
+        plknn.kendall._kendall_dis = saved
+
+
+@settings(deadline=None, max_examples=100)
+@given(_partial_matrices(), st.data())
+def test_discordances_match_naive_on_partial_rows(matrix, data):
+    q = data.draw(st.integers(0, matrix.shape[0] - 1))
+    rankings = [Ranking.from_positions(row) for row in matrix]
+    try:
+        expect = [kendall_tau_naive(rankings[q], r) for r in rankings]
+    except ValueError:  # the row shares fewer than 2 alternatives with one of them
+        expect = None
+    compiled = plknn.kendall._resolve_kernel()
+
+    def guarded(x, y):
+        # the compiled kernel never returns on a 0, so fail instead of calling it
+        assert y.min() >= 1, "an unobserved entry reached the kernel"
+        return compiled(x, y)
+
+    for kernel in (None, guarded if compiled is not None else None):  # None: public statistic
+        with _kernel_as(kernel):
+            if expect is None:
+                with pytest.raises(ValueError, match="share fewer than 2"):
+                    _discordances(matrix[q], matrix)
+            else:
+                got = _discordances(matrix[q], matrix)
+                assert got.dtype == np.int64 and got.tolist() == expect
+
+
 def test_discordance_matrix_rejects_unobserved_without_hanging():
     # the compiled kernel loops forever on a 0 after the +1 shift, so the
     # call runs in a thread with a deadline
@@ -307,12 +346,8 @@ def test_public_fallback_gives_identical_counts(orders, pair):
     rankings = [_perm_ranking(o) for o in orders]
     matrix = rank_matrix(rankings)
     fast = discordance_matrix(matrix), kendall_tau(*pair)
-    saved = plknn.kendall._kendall_dis
-    plknn.kendall._kendall_dis = None
-    try:
+    with _kernel_as(None):
         slow = discordance_matrix(matrix), kendall_tau(*pair)
-    finally:
-        plknn.kendall._kendall_dis = saved
     assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1]
 
 

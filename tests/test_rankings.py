@@ -221,14 +221,15 @@ def _per_agent_reference(population, seed, c_obs=1.0):
     return out
 
 
-def test_positions_matrix_matches_sample_rankings():
+def test_positions_matrix_matches_sample_rankings(monkeypatch):
     cfg = ModelConfig(n_agents=25, n_alternatives=30, dim=2, box=1.0, seed=8)
     pop = sample_population(cfg)
     expect = _per_agent_reference(pop, seed=8)
-    got = positions_matrix(pop, seed=8, chunk=7)
-    assert got.dtype == np.int32 and np.array_equal(expect, got)
     assert np.array_equal(sample_rankings(pop, seed=8), expect)
-    batched = positions_matrix(pop, seed=8, chunk=7, stream="batched")
+    monkeypatch.setattr("plknn.rankings._CHUNK", 7)
+    got = positions_matrix(pop, seed=8)
+    assert got.dtype == np.int32 and np.array_equal(expect, got)
+    batched = positions_matrix(pop, seed=8, stream="batched")
     assert batched.shape == expect.shape and batched.dtype == np.int32
     assert np.array_equal(np.sort(batched, axis=1), np.tile(np.arange(30), (25, 1)))
 
