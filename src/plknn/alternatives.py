@@ -2,7 +2,9 @@
 split-cluster filtering of the mirror cluster.
 
 Everything here reads only the positions matrix's columns for the query
-alternative and its candidates; no global feature matrix is involved. The
+alternative and its candidates; no global feature matrix is involved. Both
+statistics are integer counts summed over cache-sized row blocks of the
+matrix (``rankings._row_blocks``); the block size never changes a count. The
 filtering step assumes a 1-D latent geometry (the mirror point of y is the
 reflection through the box midpoint); in higher dimensions only the candidate
 stage is meaningful and callers should treat it as experimental.
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
+
+from .rankings import _row_blocks
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,13 @@ def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
     Entry ``a`` is NaN (self-pair undefined); entries with no co-ranking
     agent are NaN as well.
     """
-    pos_a = matrix[:, a, None]
-    usable = (pos_a >= 0) & (matrix >= 0)
-    counts = np.count_nonzero(usable, axis=0)
-    # the +1 signs; the sum of all signs is above - (counts - above)
-    above = np.count_nonzero((pos_a > matrix) & usable, axis=0)
+    # above counts the +1 signs; the sum of all signs is above - (counts - above)
+    counts, above = np.zeros((2, matrix.shape[1]), dtype=np.int64)
+    for rows in _row_blocks(*matrix.shape):
+        block = matrix[rows]
+        pos_a, seen = block[:, a, None], block >= 0
+        counts += np.count_nonzero(seen & (pos_a >= 0), axis=0)
+        above += np.count_nonzero((pos_a > block) & seen, axis=0)  # pos_a > x >= 0: a observed
     with np.errstate(invalid="ignore"):
         out = np.abs(2 * above - counts) / counts
     out[counts == 0] = np.nan
@@ -108,19 +114,13 @@ def _half_boundaries(matrix: np.ndarray) -> np.ndarray:
     return ((sizes + 1) // 2)[:, None]
 
 
-def _in_first_half(positions: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """Boolean first-half membership of some columns of the positions matrix,
-    given every agent's ``_half_boundaries``; unobserved entries are False."""
-    return (positions >= 0) & (positions < boundary)
-
-
 def _first_half(matrix: np.ndarray) -> np.ndarray:
     """Boolean first-half membership per (agent, alternative).
 
     For an agent observing s alternatives the first half is positions
     1..ceil(s/2) (1-based); unobserved entries are False.
     """
-    return _in_first_half(matrix, _half_boundaries(matrix))
+    return (matrix >= 0) & (matrix < _half_boundaries(matrix))
 
 
 def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
@@ -129,14 +129,19 @@ def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
 
     Only the columns of ``a`` and ``others`` are compared; each agent's half
     boundary still counts every alternative it observes."""
-    pos_a, pos = matrix[:, a, None], np.take(matrix, others, axis=1)
-    usable = (pos_a >= 0) & (pos >= 0)
-    counts = np.count_nonzero(usable, axis=0)
+    counts, same = np.zeros((2, len(others)), dtype=np.int64)
+    for rows in _row_blocks(*matrix.shape):
+        block = matrix[rows]
+        pos_a, pos = block[:, a, None], np.take(block, others, axis=1)
+        usable = (pos_a >= 0) & (pos >= 0)
+        counts += np.count_nonzero(usable, axis=0)
+        # the boundaries are per row, so blocks give the same ones; where both
+        # positions are observed, first-half membership is position < boundary
+        boundary = _half_boundaries(block)
+        same += np.count_nonzero(((pos_a < boundary) == (pos < boundary)) & usable, axis=0)
     if np.any(counts == 0):
         raise ValueError(f"no agent ranks both {a} and {others[int(np.argmin(counts))]}")
-    boundary = _half_boundaries(matrix)
-    same = (_in_first_half(pos_a, boundary) == _in_first_half(pos, boundary)) & usable
-    return np.count_nonzero(same, axis=0) / counts
+    return same / counts
 
 
 def half_stat(matrix: np.ndarray, a: int, b: int) -> HalfStat:

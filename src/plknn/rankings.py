@@ -22,7 +22,14 @@ from . import rng
 from .latent import Population
 
 _MAX_EXACT_M = 8
-_CHUNK = 8192  # agents per block of positions_matrix
+_BLOCK = 2**16  # entries per row block: a block's temporaries fit in a core's L2 cache
+
+
+def _row_blocks(n: int, m: int):
+    """Row slices of an (n, m) matrix, max(1, _BLOCK // m) rows each, the last ragged."""
+    rows = max(1, _BLOCK // m)
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +179,10 @@ def sample_rankings(population: Population, seed: int, c_obs: float = 1.0) -> np
     if c_obs < 1.0:
         raise ValueError("c_obs must be >= 1")
     n, m = population.n_agents, population.n_alternatives
+    matrix = positions_matrix(population, seed, stream="per_agent")
     n_obs = int(m // c_obs)
     if n_obs < 1:
         raise ValueError("observation fraction leaves no alternatives")
-    matrix = positions_matrix(population, seed, stream="per_agent")
     if n_obs == m:
         return matrix
     keep = np.zeros((n, m), dtype=bool)
@@ -227,8 +234,8 @@ def rank_matrix(rankings: list[Ranking], m: int | None = None) -> np.ndarray:
 
 
 def positions_matrix(population: Population, seed: int, stream: str = "per_agent") -> np.ndarray:
-    """Full-observation Gumbel-max positions matrix computed in agent chunks,
-    so populations of hundreds of thousands of agents fit in memory.
+    """Full-observation Gumbel-max positions matrix, computed in row blocks of
+    ``_BLOCK`` entries: fixed memory beyond the output, same output at any block size.
 
     With ``stream="per_agent"`` agent i draws from its own substream, as in
     ``sample_rankings``. With ``stream="batched"`` all agents draw from one
@@ -239,23 +246,26 @@ def positions_matrix(population: Population, seed: int, stream: str = "per_agent
     if stream not in ("per_agent", "batched"):
         raise ValueError(f"unknown stream mode {stream!r}")
     n, m = population.n_agents, population.n_alternatives
+    if m == 0:
+        raise ValueError("alternative list must be nonempty")
     batched_gen = rng.substream(seed, rng.RANKINGS) if stream == "batched" else None
     out = np.empty((n, m), dtype=np.int32)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        dists = np.linalg.norm(
-            population.agents[start:stop, None, :] - population.alternatives[None, :, :],
-            axis=2,
-        )
+    for rows in _row_blocks(n, m):
+        # np.linalg.norm(axis=2) without its copies: sqrt(add.reduce(diff * diff))
+        diff = population.agents[rows, None, :] - population.alternatives[None, :, :]
+        diff *= diff
+        dists = np.add.reduce(diff, axis=2)
+        np.sqrt(dists, out=dists)
         if batched_gen is not None:
-            u = batched_gen.random((stop - start, m))
+            u = batched_gen.random(dists.shape)
         else:
-            u = np.empty((stop - start, m))
-            for i in range(start, stop):
-                u[i - start] = rng.substream(seed, rng.RANKINGS, i).random(m)
+            u = np.empty(dists.shape)
+            for i in range(rows.start, rows.stop):
+                u[i - rows.start] = rng.substream(seed, rng.RANKINGS, i).random(m)
         order = _row_orders(_gumbel_keys(dists, u))
-        row_offsets = np.arange(0, (stop - start) * m, m)[:, None]
-        out[start:stop].reshape(-1)[order + row_offsets] = np.arange(m, dtype=np.int32)
+        order += np.arange(0, order.size, m)[:, None]
+        # a full-size value array scatters about twice as fast as a broadcast row
+        out[rows].reshape(-1)[order] = np.tile(np.arange(m, dtype=np.int32), (len(order), 1))
     return out
 
 

@@ -19,8 +19,8 @@ from plknn import (
     two_means_1d,
 )
 from plknn import rng
-from plknn.alternatives import _first_half, _half_stats, _sign_distance_columns
-from plknn.rankings import positions_matrix, rank_matrix
+from plknn.alternatives import _first_half, _half_stats, _sign_distance_columns, split_step
+from plknn.rankings import _row_blocks, positions_matrix, rank_matrix
 
 
 def _uniform_world(seed, n, m, extra_alts=()):
@@ -167,18 +167,22 @@ def _half_stats_reference(matrix, a, others):
     return same.sum(axis=0) / usable.sum(axis=0)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.integers(1, 40), st.integers(2, 14), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
-def test_integer_statistics_equal_their_float_references(n, m, hidden, seed):
-    # partially observed matrices, some columns ranked by no agent: the
-    # integer counts give the float references' values bit for bit, NaN where
-    # no agent ranks both
+def _partial_matrix(seed, n, m, hidden):
+    """A random positions matrix: each agent hides about a fraction ``hidden``
+    of the alternatives, about a fifth of the columns no agent observes, and
+    about a tenth of the rows observe nothing."""
     gen = np.random.default_rng(seed)
     matrix = np.full((n, m), -1, dtype=np.int32)
-    dark = gen.random(m) < 0.2  # columns no agent observes
+    dark = gen.random(m) < 0.2
+    blind = gen.random(n) < 0.1
     for i in range(n):
-        seen = np.flatnonzero((gen.random(m) >= hidden) & ~dark)
+        seen = np.flatnonzero((gen.random(m) >= hidden) & ~dark & ~blind[i])
         matrix[i, gen.permutation(seen)] = np.arange(seen.size)
+    return matrix
+
+
+def _assert_statistics_equal_references(matrix):
+    m = matrix.shape[1]
     for a in range(m):
         got = _sign_distance_columns(matrix, a)
         assert np.array_equal(got, _sign_distance_reference(matrix, a), equal_nan=True)
@@ -190,6 +194,55 @@ def test_integer_statistics_equal_their_float_references(n, m, hidden, seed):
         else:
             with pytest.raises(ValueError, match="no agent ranks both"):
                 _half_stats(matrix, a, others)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 40), st.integers(2, 14), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_integer_statistics_equal_their_float_references(n, m, hidden, seed):
+    # partially observed matrices, some columns and rows ranked by no agent:
+    # the integer counts give the float references' values bit for bit, NaN
+    # where no agent ranks both
+    _assert_statistics_equal_references(_partial_matrix(seed, n, m, hidden))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 40), st.integers(2, 14), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1),
+    st.integers(1, 3), st.data(),
+)
+def test_blocked_statistics_equal_their_float_references(n, m, hidden, seed, rows, data):
+    # the statistics count block by block; blocks of 1-3 rows, the last one
+    # ragged, give the one-pass references' values
+    extra = data.draw(st.integers(0, m - 1))
+    matrix = _partial_matrix(seed, n, m, hidden)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("plknn.rankings._BLOCK", rows * m + extra)
+        _assert_statistics_equal_references(matrix)
+
+
+def test_candidate_threshold_drops_far_alternatives_across_blocks(monkeypatch):
+    # a planted world on a box of width 5 in which the threshold does work:
+    # the expected sign distance is about 0 for the near and the mirror
+    # clusters and about 0.15-0.2 for the alternatives around the midpoint,
+    # each measured to about 0.007 by 20,000 agents, so 1/ell = 0.083 keeps
+    # the first and drops the second. The 20,000 x 50 matrix takes several
+    # blocks; one block gives the same candidates and split statistics.
+    gen = rng.substream(31, rng.TRIAL, 0)
+    near = 0.2 + np.linspace(-0.01, 0.01, 10)
+    mirror = 0.8 + np.linspace(-0.01, 0.01, 10)
+    middle = np.linspace(0.4, 0.6, 10)
+    alts = 5.0 * np.concatenate([[0.2], near, mirror, middle, gen.random(19)])[:, None]
+    pop = Population(agents=5.0 * gen.random(20_000)[:, None], alternatives=alts)
+    matrix = positions_matrix(pop, seed=31, stream="batched")
+    assert len(list(_row_blocks(*matrix.shape))) > 1
+    cands = candidate_set(matrix, 0, ell=12)
+    assert set(range(21)) <= set(cands.members)
+    assert not set(cands.members) & set(range(21, 31))
+    step = split_step(matrix, 0, cands)
+    monkeypatch.setattr("plknn.rankings._BLOCK", matrix.size)
+    assert candidate_set(matrix, 0, ell=12) == cands
+    one_block = split_step(matrix, 0, cands)
+    assert np.array_equal(one_block.stats, step.stats) and one_block.kept == step.kept
 
 
 def test_half_stat_co_location_beats_mirror():

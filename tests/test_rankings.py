@@ -21,7 +21,7 @@ from plknn import (
     write_rankings_csv,
 )
 from plknn import rng
-from plknn.rankings import _row_orders, positions_matrix
+from plknn.rankings import _gumbel_keys, _row_orders, positions_matrix
 
 from _harness import gumbel_orders, sequential_orders
 
@@ -226,7 +226,7 @@ def test_positions_matrix_matches_sample_rankings(monkeypatch):
     pop = sample_population(cfg)
     expect = _per_agent_reference(pop, seed=8)
     assert np.array_equal(sample_rankings(pop, seed=8), expect)
-    monkeypatch.setattr("plknn.rankings._CHUNK", 7)
+    monkeypatch.setattr("plknn.rankings._BLOCK", 70)  # 2 agents per block
     got = positions_matrix(pop, seed=8)
     assert got.dtype == np.int32 and np.array_equal(expect, got)
     batched = positions_matrix(pop, seed=8, stream="batched")
@@ -234,8 +234,10 @@ def test_positions_matrix_matches_sample_rankings(monkeypatch):
     assert np.array_equal(np.sort(batched, axis=1), np.tile(np.arange(30), (25, 1)))
 
 
-def test_sample_rankings_match_reference_across_a_chunk_boundary():
-    # positions_matrix samples 8192 agents per chunk
+def test_sample_rankings_match_reference_across_block_boundaries(monkeypatch):
+    # 3000 agents per block of 21003 entries: two boundaries, then a ragged
+    # last block of 2200 agents
+    monkeypatch.setattr("plknn.rankings._BLOCK", 3000 * 7 + 3)
     cfg = ModelConfig(n_agents=8200, n_alternatives=7, dim=1, box=1.0, seed=4)
     pop = sample_population(cfg)
     for c_obs in (1.0, 1.5):
@@ -243,9 +245,11 @@ def test_sample_rankings_match_reference_across_a_chunk_boundary():
         assert np.array_equal(sample_rankings(pop, seed=4, c_obs=c_obs), expect)
 
 
-def test_batched_positions_match_reference_across_a_chunk_boundary():
-    # one substream for all agents, consumed chunk after chunk (8192 agents
-    # each), is the same stream as one draw for the whole population
+def test_batched_positions_match_reference_across_block_boundaries(monkeypatch):
+    # one substream for all agents, consumed block after block (3000 agents
+    # each, the last one 2200), is the same stream as one draw for the whole
+    # population
+    monkeypatch.setattr("plknn.rankings._BLOCK", 3000 * 40 + 39)
     cfg = ModelConfig(n_agents=8200, n_alternatives=40, dim=1, box=1.0, seed=5)
     pop = sample_population(cfg)
     u = rng.substream(5, rng.RANKINGS).random((8200, 40))
@@ -253,6 +257,27 @@ def test_batched_positions_match_reference_across_a_chunk_boundary():
     expect = np.empty_like(order)
     np.put_along_axis(expect, order, np.arange(40)[None, :], axis=1)
     assert np.array_equal(positions_matrix(pop, seed=5, stream="batched"), expect)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+def test_positions_matrix_distances_equal_linalg_norm(monkeypatch, dim):
+    # the sort keys start from the agent-alternative distances, computed in
+    # place block by block; they equal np.linalg.norm's bit for bit (at dim 9
+    # numpy's pairwise summation applies to both)
+    seen = []
+
+    def record(dists, uniforms):
+        seen.append(dists.copy())
+        return _gumbel_keys(dists, uniforms)
+
+    monkeypatch.setattr("plknn.rankings._gumbel_keys", record)
+    monkeypatch.setattr("plknn.rankings._BLOCK", 11 * 13 + 5)  # 11 agents per block
+    pop = sample_population(ModelConfig(n_agents=50, n_alternatives=13, dim=dim, box=3.0, seed=dim))
+    for stream in ("per_agent", "batched"):
+        seen.clear()
+        positions_matrix(pop, seed=2, stream=stream)
+        assert len(seen) == 5
+        assert np.array_equal(np.concatenate(seen), _distances(pop))
 
 
 _TIE_PRONE = st.one_of(
@@ -340,3 +365,16 @@ def test_rankings_csv_rejects_malformed_rows(tmp_path, rows, problem):
 def test_empty_alternative_list_is_an_error():
     with pytest.raises(ValueError):
         sample_ranking(np.array([0.1]), np.empty((0, 1)), rng.substream(0, 0))
+    samplers = (
+        lambda pop: positions_matrix(pop, 0, stream="per_agent"),
+        lambda pop: positions_matrix(pop, 0, stream="batched"),
+        lambda pop: sample_rankings(pop, 0),
+        lambda pop: sample_rankings(pop, 0, c_obs=2.0),
+    )
+    no_alternatives = Population(agents=np.zeros((3, 1)), alternatives=np.zeros((0, 1)))
+    no_agents = Population(agents=np.zeros((0, 1)), alternatives=np.zeros((4, 1)))
+    for sample in samplers:
+        with pytest.raises(ValueError, match="alternative list must be nonempty"):
+            sample(no_alternatives)
+        got = sample(no_agents)
+        assert got.shape == (0, 4) and got.dtype == np.int32
