@@ -26,9 +26,9 @@ class NeighborSet:
     """Result of a neighbor query with provenance.
 
     ``selector`` is ("top_k", k) or ("threshold", eps). In top-k mode
-    ``members`` has min(k, n-1) entries; in threshold mode it holds every
-    agent within the threshold. The query never appears among the members,
-    which are stored as a tuple of ints.
+    ``members`` has k entries (the neighbor functions refuse k > n - 1); in
+    threshold mode it holds every agent within the threshold. The query never
+    appears among the members, which are stored as a tuple of ints.
     """
 
     query: int
@@ -56,7 +56,7 @@ class NeighborSet:
 def _check_query(n: int, query, k=None, eps=None) -> None:
     """Reject a query outside [0, n) and a selector out of range: an eps that
     is not a finite number >= 0 or, when no eps is given, a k that is not an
-    integer >= 1."""
+    integer in [1, n - 1]."""
     if not isinstance(query, Integral) or isinstance(query, bool) or not 0 <= query < n:
         raise ValueError(f"query must be an agent index in [0, {n}), got {query!r}")
     if eps is not None:
@@ -64,6 +64,8 @@ def _check_query(n: int, query, k=None, eps=None) -> None:
             raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     elif not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    elif k > n - 1:
+        raise ValueError(f"k must be at most n - 1 = {n - 1}, got {k!r}")
 
 
 def neighbor_order(distances: np.ndarray, query: int, count: int) -> np.ndarray:
@@ -92,8 +94,6 @@ def kt_knn(matrix: np.ndarray, query: int, k: int) -> NeighborSet:
     query's in raw Kendall-tau distance, ties broken by ascending agent index."""
     n = matrix.shape[0]
     _check_query(n, query, k=k)
-    if n < k + 1:
-        raise ValueError("need at least k+1 agents")
     distances = _discordances(matrix[query], matrix).astype(float)
     distances[query] = np.inf
     return NeighborSet(int(query), neighbor_order(distances, query, k), "kt_knn", ("top_k", k))

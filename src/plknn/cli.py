@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, knn, alt-sim, verify, experiment {fig1a|fig1b|fig1c}.
-Exit codes: 0 success, 2 failed verification assertion, 3 inconclusive
-statistics.
+Exit codes: 0 success, 2 failed verification assertion or bad input (one
+``error:`` line on stderr), 3 inconclusive statistics.
 """
 
 from __future__ import annotations

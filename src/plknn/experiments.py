@@ -3,8 +3,8 @@ high-dimensional neighbor-distance sweep.
 
 Every agent serves once as the query; the query's own ranking feeds the
 distance computations a method needs but never votes. Queries execute
-independently (optionally across a thread pool) and results are reduced on
-sorted keys, so the emitted CSV bytes are identical for any worker count.
+independently (optionally across a thread pool) and their results come back
+in query order, so the emitted CSV bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class ExperimentConfig:
             raise ValueError("k_grid must be sorted ascending without duplicates")
         if any(k < 1 for k in self.k_grid):
             raise ValueError("k values must be positive")
-        # k values above the per-query candidate pool (n - 1) are truncated at
-        # query time, matching the top-k neighbor-set contract min(k, n - 1)
+        # k values above the per-query candidate pool (n - 1) are cut to n - 1
+        # at query time: the runner calls neighbor_order directly, while the
+        # public neighbor functions refuse such a k
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -267,14 +268,12 @@ def _query_errors(
 
 def _map_queries(ctx, queries, methods, k_grid, pair_count, n_jobs):
     def work(q):
-        return q, _query_errors(ctx, q, methods, k_grid, pair_count)
+        return _query_errors(ctx, q, methods, k_grid, pair_count)
 
     if n_jobs is None or n_jobs <= 1:
-        results = [work(q) for q in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(work, queries))
-    return [stats for _, stats in sorted(results, key=lambda item: item[0])]
+        return [work(q) for q in queries]
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        return list(pool.map(work, queries))
 
 
 def _sweep(cfg: ExperimentConfig, models, k_grid, pair_count: int, n_jobs: int | None):

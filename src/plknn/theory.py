@@ -219,6 +219,13 @@ def example_one(span: tuple[float, float] = (-2.0, 2.0), step: float = 0.01) -> 
 BIAS_GRID_STEP = 1.0 / 200.0
 
 
+def _claim(name: str, ok: bool | None, details: dict) -> ClaimReport:
+    """A claim whose status is "pass" or "fail" as ``ok`` holds, or
+    "inconclusive" when ``ok`` is None (the run cannot decide it)."""
+    status = "inconclusive" if ok is None else ("pass" if ok else "fail")
+    return ClaimReport(name=name, status=status, details=details)
+
+
 def verify_theorem_bias(
     left_queries=(0.05, 0.1, 0.2, 0.25),
     right_queries=(0.75, 0.9),
@@ -230,48 +237,31 @@ def verify_theorem_bias(
     grid = np.round(np.arange(0.0, 1.0 + BIAS_GRID_STEP / 2, BIAS_GRID_STEP), 10)
     claims = []
     curves = {}
-    for x_q in left_queries:
-        curve = expected_nkt_curve(x_q, grid, rtol=rtol)
-        curves[f"curve_xq_{x_q:g}"] = curve
-        diffs = np.diff(curve.values)
-        inner = (grid[:-1] > 0) & (grid[:-1] <= x_q + 1e-12)
-        ok = int(np.argmin(curve.values)) == 0 and bool(np.all(diffs[inner] > 0))
-        claims.append(
-            ClaimReport(
-                name=f"boundary_argmin_left_xq_{x_q:g}",
-                status="pass" if ok else "fail",
-                details={
-                    "argmin": float(grid[int(np.argmin(curve.values))]),
-                    "min_forward_difference": float(diffs[inner].min()),
-                },
+    # Per side: the sign that makes a step away from the boundary positive
+    # (negation is exact, so the right side's comparisons are the left's
+    # mirrored), the boundary's grid index, and each step's end nearer it.
+    sides = (
+        ("left", left_queries, 1.0, 0, grid[:-1], "min_forward_difference"),
+        ("right", right_queries, -1.0, grid.size - 1, grid[1:], "max_forward_difference"),
+    )
+    for side, queries, sign, edge, near, key in sides:
+        for x_q in queries:
+            curve = expected_nkt_curve(x_q, grid, rtol=rtol)
+            curves[f"curve_xq_{x_q:g}"] = curve
+            rise = sign * np.diff(curve.values)  # change moving away from the boundary
+            inner = (sign * near > sign * grid[edge]) & (sign * near <= sign * x_q + 1e-12)
+            argmin = int(np.argmin(curve.values))
+            claims.append(
+                _claim(
+                    f"boundary_argmin_{side}_xq_{x_q:g}",
+                    argmin == edge and bool(np.all(rise[inner] > 0)),
+                    {"argmin": float(grid[argmin]), key: float(sign * rise[inner].min())},
+                )
             )
-        )
-    for x_q in right_queries:
-        curve = expected_nkt_curve(x_q, grid, rtol=rtol)
-        curves[f"curve_xq_{x_q:g}"] = curve
-        diffs = np.diff(curve.values)
-        inner = (grid[1:] < 1) & (grid[1:] >= x_q - 1e-12)
-        ok = int(np.argmin(curve.values)) == grid.size - 1 and bool(np.all(diffs[inner] < 0))
-        claims.append(
-            ClaimReport(
-                name=f"boundary_argmin_right_xq_{x_q:g}",
-                status="pass" if ok else "fail",
-                details={
-                    "argmin": float(grid[int(np.argmin(curve.values))]),
-                    "max_forward_difference": float(diffs[inner].max()),
-                },
-            )
-        )
     center = expected_nkt_curve(0.5, grid, rtol=rtol)
     curves["curve_xq_0.5"] = center
-    ok = abs(grid[int(np.argmin(center.values))] - 0.5) < 1e-12
-    claims.append(
-        ClaimReport(
-            name="center_fixed_point",
-            status="pass" if ok else "fail",
-            details={"argmin": float(grid[int(np.argmin(center.values))])},
-        )
-    )
+    argmin = float(grid[int(np.argmin(center.values))])
+    claims.append(_claim("center_fixed_point", abs(argmin - 0.5) < 1e-12, {"argmin": argmin}))
     return VerifyReport(target="theorem-bias", claims=tuple(claims), curves=curves)
 
 
@@ -282,39 +272,28 @@ def verify_example_one(tol: float = 1e-6) -> VerifyReport:
     fixed agent's own position, and the strict value comparison showing that
     position is not expected-distance optimal."""
     report = example_one()
+    slopes = report["derivatives"]
     claims = [
-        ClaimReport(
-            name="deterministic_boundary",
-            status="pass" if report["deterministic_boundary"] == 0.55 else "fail",
-            details={"boundary": report["deterministic_boundary"]},
+        _claim(
+            "deterministic_boundary",
+            report["deterministic_boundary"] == 0.55,
+            {"boundary": report["deterministic_boundary"]},
         ),
-        ClaimReport(
-            name="derivative_nonneg_at_0",
-            status="pass" if report["derivatives"][0.0] >= -tol else "fail",
-            details={"derivative": report["derivatives"][0.0]},
-        ),
-        ClaimReport(
-            name="derivative_nonneg_at_0.25",
-            status="pass" if report["derivatives"][0.25] >= -tol else "fail",
-            details={"derivative": report["derivatives"][0.25]},
-        ),
-        ClaimReport(
-            name="derivative_positive_at_0.5",
-            status="pass" if report["derivatives"][0.5] > tol else "fail",
-            details={"derivative": report["derivatives"][0.5]},
-        ),
-        ClaimReport(
-            name="far_left_beats_own_position",
-            status="pass" if report["value_at_minus_1"] < report["value_at_x1"] - tol else "fail",
-            details={
+        _claim("derivative_nonneg_at_0", slopes[0.0] >= -tol, {"derivative": slopes[0.0]}),
+        _claim("derivative_nonneg_at_0.25", slopes[0.25] >= -tol, {"derivative": slopes[0.25]}),
+        _claim("derivative_positive_at_0.5", slopes[0.5] > tol, {"derivative": slopes[0.5]}),
+        _claim(
+            "far_left_beats_own_position",
+            report["value_at_minus_1"] < report["value_at_x1"] - tol,
+            {
                 "value_at_minus_1": report["value_at_minus_1"],
                 "value_at_own_position": report["value_at_x1"],
             },
         ),
-        ClaimReport(
-            name="flat_region_ends_at_smaller_alternative",
-            status="pass" if abs(report["flat_region_end"] - EXAMPLE_Y1) <= 0.011 else "fail",
-            details={"flat_region_end": report["flat_region_end"]},
+        _claim(
+            "flat_region_ends_at_smaller_alternative",
+            abs(report["flat_region_end"] - EXAMPLE_Y1) <= 0.011,
+            {"flat_region_end": report["flat_region_end"]},
         ),
     ]
     return VerifyReport(
@@ -329,6 +308,58 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     return float(slope), 1.0 - ss_res / ss_tot
+
+
+def _gap_grid(grid, name: str) -> np.ndarray:
+    """A bound check's gap grid (by default 8 log-spaced gaps from 0.02 to
+    0.2), which must be positive and sorted ascending."""
+    grid = np.asarray(np.geomspace(0.02, 0.2, 8) if grid is None else grid, dtype=float)
+    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{name} grid must be positive and sorted ascending")
+    return grid
+
+
+def _gap_stats(grid: np.ndarray, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the per-trial values ``draw(gap)`` at each
+    gap of the grid."""
+    means = np.empty(grid.size)
+    stderrs = np.empty(grid.size)
+    for t, gap in enumerate(grid):
+        vals = draw(float(gap))
+        means[t] = vals.mean()
+        stderrs[t] = vals.std(ddof=1) / math.sqrt(vals.size)
+    return means, stderrs
+
+
+def _envelope_shape(grid: np.ndarray, slices) -> list[ClaimReport]:
+    """The shape claims both bound checks share, over slices of (name suffix,
+    means, stderrs, the slice's own envelope claims) on one gap grid.
+
+    A leading ``statistical_power`` claim appears when any stderr exceeds a
+    fifth of its mean. ``envelope_slope`` fits the first slice on log-log
+    axes and passes for a slope in [1, 2] with r^2 > 0.98; an underpowered
+    run leaves it inconclusive. Then each slice gives ``monotone_in_gap``
+    (means strictly increasing in the gap) and its envelope claims.
+    """
+    claims = []
+    conclusive = all(bool(np.all(se <= 0.2 * means)) for _, means, se, _ in slices)
+    if not conclusive:
+        fraction = max(float((se / means).max()) for _, means, se, _ in slices)
+        claims.append(_claim("statistical_power", None, {"max_stderr_fraction": fraction}))
+    slope, r2 = _loglog_fit(grid, slices[0][1])
+    claims.append(
+        _claim(
+            "envelope_slope",
+            (1.0 <= slope <= 2.0 and r2 > 0.98) if conclusive else None,
+            {"slope": slope, "r_squared": r2},
+        )
+    )
+    for suffix, means, _, envelope in slices:
+        claims.append(
+            _claim(f"monotone_in_gap{suffix}", bool(np.all(np.diff(means) > 0)), {"means": means})
+        )
+        claims.extend(envelope)
+    return claims
 
 
 @lru_cache(maxsize=200_000)
@@ -374,61 +405,21 @@ def agent_bound_check(
     variance of the distance halves when the alternative count doubles
     (other agents frozen).
     """
-    if eps_grid is None:
-        eps_grid = np.geomspace(0.02, 0.2, 8)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
-        raise ValueError("eps grid must be positive and sorted ascending")
+    eps_grid = _gap_grid(eps_grid, "eps")
     xk = _stratified_uniform(rng.substream(seed, rng.TRIAL, 0), trials)
-    means = np.empty(eps_grid.size)
-    stderrs = np.empty(eps_grid.size)
-    for t, eps in enumerate(eps_grid):
-        interp = expected_agent_gap_curve(float(eps), x_base=x_base)
-        vals = np.abs(interp(xk))
-        means[t] = vals.mean()
-        stderrs[t] = vals.std(ddof=1) / math.sqrt(trials)
-
-    claims = []
-    conclusive = bool(np.all(stderrs <= 0.2 * means))
-    if not conclusive:
-        claims.append(
-            ClaimReport(
-                name="statistical_power",
-                status="inconclusive",
-                details={"max_stderr_fraction": float((stderrs / means).max())},
-            )
-        )
-    slope, r2 = _loglog_fit(eps_grid, means)
-    claims.append(
-        ClaimReport(
-            name="envelope_slope",
-            status="pass" if conclusive and 1.0 <= slope <= 2.0 and r2 > 0.98 else
-            ("inconclusive" if not conclusive else "fail"),
-            details={"slope": slope, "r_squared": r2},
-        )
-    )
-    claims.append(
-        ClaimReport(
-            name="monotone_in_gap",
-            status="pass" if bool(np.all(np.diff(means) > 0)) else "fail",
-            details={"means": means},
-        )
+    means, stderrs = _gap_stats(
+        eps_grid, lambda eps: np.abs(expected_agent_gap_curve(eps, x_base=x_base)(xk))
     )
     ratio = float(np.min(means / eps_grid**2))
-    claims.append(
-        ClaimReport(
-            name="quadratic_lower_envelope",
-            status="pass" if ratio > 0.05 else "fail",
-            details={"min_mean_over_eps_sq": ratio},
-        )
-    )
-    claims.append(
-        ClaimReport(
-            name="vanishes_toward_zero_gap",
-            status="pass" if means[0] < 0.1 * eps_grid[0] else "fail",
-            details={"mean_at_smallest_gap": float(means[0])},
-        )
-    )
+    envelope = [
+        _claim("quadratic_lower_envelope", ratio > 0.05, {"min_mean_over_eps_sq": ratio}),
+        _claim(
+            "vanishes_toward_zero_gap",
+            means[0] < 0.1 * eps_grid[0],
+            {"mean_at_smallest_gap": float(means[0])},
+        ),
+    ]
+    claims = _envelope_shape(eps_grid, [("", means, stderrs, envelope)])
     if concentration:
         claims.append(_concentration_claim(seed))
     curve = CurveSample(x_grid=eps_grid, values=means, stderr=stderrs)
@@ -455,10 +446,10 @@ def _concentration_claim(
             samples[rep] = agent_distance(feats, 0, 1)
         variances.append(float(np.var(samples, ddof=1)))
     ratio = variances[0] / variances[1]
-    return ClaimReport(
-        name="variance_halves_with_double_m",
-        status="pass" if 1.4 <= ratio <= 2.8 else "fail",
-        details={"variance_ratio": ratio, "variances": variances},
+    return _claim(
+        "variance_halves_with_double_m",
+        1.4 <= ratio <= 2.8,
+        {"variance_ratio": ratio, "variances": variances},
     )
 
 
@@ -491,81 +482,32 @@ def item_bound_check(
     linear regime, and the mirror pair checks that the statistic vanishes at
     fold distance zero despite the large latent gap.
     """
-    if delta_grid is None:
-        delta_grid = np.geomspace(0.02, 0.2, 8)
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if np.any(delta_grid <= 0) or np.any(np.diff(delta_grid) <= 0):
-        raise ValueError("delta grid must be positive and sorted ascending")
-
+    delta_grid = _gap_grid(delta_grid, "delta")
     x = _stratified_uniform(rng.substream(seed, rng.TRIAL, 0), trials)
-
-    def slice_stats(y_base: float) -> tuple[np.ndarray, np.ndarray]:
-        means = np.empty(delta_grid.size)
-        stderrs = np.empty(delta_grid.size)
-        for t, delta in enumerate(delta_grid):
-            vals = item_sign_mean(y_base, y_base + float(delta), x)
-            means[t] = abs(vals.mean())
-            stderrs[t] = vals.std(ddof=1) / math.sqrt(trials)
-        return means, stderrs
-
-    fold_means, fold_se = slice_stats(fold_base)
-    side_means, side_se = slice_stats(side_base)
+    slices = []
+    curves = {}
+    for label, base in (("near_fold", fold_base), ("off_center", side_base)):
+        means, stderrs = _gap_stats(delta_grid, lambda delta: item_sign_mean(base, base + delta, x))
+        means = np.abs(means)
+        lower = float(np.min(means / delta_grid**2))
+        upper = float(np.max(means / delta_grid))
+        envelope = _claim(
+            f"quadratic_to_linear_envelope_{label}",
+            lower > 0.1 and upper < 0.5,
+            {"min_mean_over_delta_sq": lower, "max_mean_over_delta": upper},
+        )
+        slices.append((f"_{label}", means, stderrs, [envelope]))
+        curves[f"gap_curve_{label}"] = CurveSample(x_grid=delta_grid, values=means, stderr=stderrs)
 
     mirror_vals = item_sign_mean(side_base, 1.0 - side_base, x)
     mirror_mean = abs(float(mirror_vals.mean()))
     mirror_se = float(mirror_vals.std(ddof=1)) / math.sqrt(trials)
-
-    claims = []
-    conclusive = bool(np.all(fold_se <= 0.2 * fold_means)) and bool(
-        np.all(side_se <= 0.2 * side_means)
-    )
-    if not conclusive:
-        claims.append(
-            ClaimReport(
-                name="statistical_power",
-                status="inconclusive",
-                details={
-                    "max_stderr_fraction": float(
-                        max((fold_se / fold_means).max(), (side_se / side_means).max())
-                    )
-                },
-            )
-        )
-    slope, r2 = _loglog_fit(delta_grid, fold_means)
+    claims = _envelope_shape(delta_grid, slices)
     claims.append(
-        ClaimReport(
-            name="envelope_slope",
-            status="pass" if conclusive and 1.0 <= slope <= 2.0 and r2 > 0.98 else
-            ("inconclusive" if not conclusive else "fail"),
-            details={"slope": slope, "r_squared": r2},
+        _claim(
+            "mirror_pair_vanishes",
+            mirror_mean <= 4.0 * mirror_se,
+            {"mirror_mean": mirror_mean, "mirror_stderr": mirror_se},
         )
     )
-    for label, means in (("near_fold", fold_means), ("off_center", side_means)):
-        claims.append(
-            ClaimReport(
-                name=f"monotone_in_gap_{label}",
-                status="pass" if bool(np.all(np.diff(means) > 0)) else "fail",
-                details={"means": means},
-            )
-        )
-        lower = float(np.min(means / delta_grid**2))
-        upper = float(np.max(means / delta_grid))
-        claims.append(
-            ClaimReport(
-                name=f"quadratic_to_linear_envelope_{label}",
-                status="pass" if lower > 0.1 and upper < 0.5 else "fail",
-                details={"min_mean_over_delta_sq": lower, "max_mean_over_delta": upper},
-            )
-        )
-    claims.append(
-        ClaimReport(
-            name="mirror_pair_vanishes",
-            status="pass" if mirror_mean <= 4.0 * mirror_se else "fail",
-            details={"mirror_mean": mirror_mean, "mirror_stderr": mirror_se},
-        )
-    )
-    curves = {
-        "gap_curve_near_fold": CurveSample(x_grid=delta_grid, values=fold_means, stderr=fold_se),
-        "gap_curve_off_center": CurveSample(x_grid=delta_grid, values=side_means, stderr=side_se),
-    }
     return VerifyReport(target="item-bounds", claims=(*claims,), curves=curves)

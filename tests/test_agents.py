@@ -127,8 +127,10 @@ def test_query_and_selector_validation():
         lambda: oracle_knn(pop, -1, 2),
         lambda: oracle_knn(pop, 6, 2),
         lambda: oracle_knn(pop, 0, 0),
+        lambda: oracle_knn(pop, 0, 6),  # once 5 members, as kt_knn refused
         lambda: global_knn(feats, -1, k=2),
         lambda: global_knn(feats, 0, k=-1),  # once n - 2 members
+        lambda: global_knn(feats, 0, k=6),  # once 5 members, as kt_knn refused
         lambda: global_knn(feats, 0, eps=float("nan")),  # once an empty set
         lambda: global_knn(feats, 0, eps=float("inf")),
         lambda: global_knn(feats, 0, eps=-0.1),

@@ -11,7 +11,9 @@ from plknn import (
     pairwise_prob,
 )
 from plknn import rng
+from plknn.cli import EXIT_INCONCLUSIVE, verify_exit_code
 from plknn.theory import (
+    agent_bound_check,
     example_deterministic_kt,
     example_one,
     integrate_unit_square,
@@ -149,3 +151,58 @@ def test_bound_reports_deterministic():
     assert np.array_equal(
         a.curves["gap_curve_near_fold"].values, b.curves["gap_curve_near_fold"].values
     )
+
+
+def test_verify_claim_names_in_order():
+    # the CLI writes these names, in this order, to each target's JSON report
+    reports = {
+        "example-1": verify_example_one(),
+        "theorem-bias": verify_theorem_bias(left_queries=(0.2,), right_queries=(0.8,)),
+        "item-bounds": item_bound_check(seed=0),
+        "agent-bounds": agent_bound_check(
+            eps_grid=(0.05, 0.1, 0.2), trials=2000, seed=0, concentration=False
+        ),
+    }
+    expected = {
+        "example-1": [
+            "deterministic_boundary",
+            "derivative_nonneg_at_0",
+            "derivative_nonneg_at_0.25",
+            "derivative_positive_at_0.5",
+            "far_left_beats_own_position",
+            "flat_region_ends_at_smaller_alternative",
+        ],
+        "theorem-bias": [
+            "boundary_argmin_left_xq_0.2",
+            "boundary_argmin_right_xq_0.8",
+            "center_fixed_point",
+        ],
+        "item-bounds": [
+            "envelope_slope",
+            "monotone_in_gap_near_fold",
+            "quadratic_to_linear_envelope_near_fold",
+            "monotone_in_gap_off_center",
+            "quadratic_to_linear_envelope_off_center",
+            "mirror_pair_vanishes",
+        ],
+        "agent-bounds": [
+            "envelope_slope",
+            "monotone_in_gap",
+            "quadratic_lower_envelope",
+            "vanishes_toward_zero_gap",
+        ],
+    }
+    for target, report in reports.items():
+        assert report.target == target
+        assert [c.name for c in report.claims] == expected[target]
+
+
+def test_underpowered_bound_check_is_inconclusive():
+    # 50 agent draws leave the stderrs above a fifth of their means
+    report = item_bound_check(trials=50, seed=0)
+    power = report.claims[0]
+    assert power.name == "statistical_power" and power.status == "inconclusive"
+    slope = next(c for c in report.claims if c.name == "envelope_slope")
+    assert slope.status == "inconclusive"
+    assert report.inconclusive
+    assert verify_exit_code(report) == EXIT_INCONCLUSIVE
