@@ -175,9 +175,9 @@ class FeatureMatrix:
     """Symmetric (n, n) matrix of pair-sampled NKT estimates F[i, j].
 
     The diagonal is held at 0 and excluded by every consumer. ``n_pairs`` is
-    the number of disjoint alternative pairs behind each entry (full
-    observation fast path); entries built from per-pair intersections record
-    ``n_pairs = 0``.
+    the number of disjoint alternative pairs behind each entry when every
+    agent observes the same alternatives. Under partial observation each
+    entry has its own pairing inside O_i and O_j, and ``n_pairs = 0``.
     """
 
     values: np.ndarray
@@ -196,7 +196,15 @@ def feature_matrix(matrix: np.ndarray, pairing_seed: int) -> FeatureMatrix:
     the matrix is computed by one sign-matrix product. With partial
     observations the pairing for (i, j) is formed inside the intersection
     O_i and O_j, pairing consecutive elements of one seed-derived shuffle of
-    the alternatives; any intersection smaller than 2 is an error.
+    the ids up to the highest observed one; an odd last element is dropped
+    and any intersection smaller than 2 is an error.
+
+    The partial loop compares agent i with the agents after it on O_i's
+    columns only, in shuffled order. One row-major flat index picks the
+    shared entries of all those rows, and i's own positions at the same
+    columns; they pair up two by two, and one ``reduceat`` counts each row's
+    discordant pairs. It costs
+    O(sum_i (n - i) |O_i|) time and (n - 1) |O_i| memory per row.
     """
     if np.ndim(matrix) != 2:
         raise ValueError("positions matrix must be 2-D")
@@ -217,22 +225,25 @@ def feature_matrix(matrix: np.ndarray, pairing_seed: int) -> FeatureMatrix:
 
     # the shuffle covers the ids up to the highest one any agent observes
     width = 1 + int(np.flatnonzero(seen.any(axis=0))[-1])
-    perm = rng.substream(pairing_seed, rng.PAIRING).permutation(width)
-    shuffled, seen = matrix[:, perm], seen[:, perm]
+    shuffled = matrix[:, rng.substream(pairing_seed, rng.PAIRING).permutation(width)]
     values = np.zeros((n, n), dtype=float)
     for i in range(n - 1):
-        rest = shuffled[i + 1 :]
-        shared = seen[i] & seen[i + 1 :]
+        cols = np.flatnonzero(shuffled[i] >= 0)  # O_i in shuffled order
+        rest = shuffled[i + 1 :, cols]
+        shared = rest >= 0
         counts = shared.sum(axis=1)
         if np.any(counts < 2):
             j = i + 1 + int(np.argmax(counts < 2))
             raise ValueError(f"agents {i} and {j} share fewer than 2 alternatives")
-        # pair consecutive shared columns of each row; an odd last one is dropped
-        rank = np.cumsum(shared, axis=1)
-        rows, cols = np.nonzero(shared & (rank <= (counts - counts % 2)[:, None]))
-        rows, a, b = rows[0::2], cols[0::2], cols[1::2]
-        discordant = (shuffled[i, a] < shuffled[i, b]) != (rest[rows, a] < rest[rows, b])
-        values[i, i + 1 :] = np.bincount(rows[discordant], minlength=n - 1 - i) / (counts // 2)
+        # pair consecutive shared entries of each row; an odd last one is dropped
+        odd = np.flatnonzero(counts % 2)
+        shared[odd, cols.size - 1 - np.argmax(shared[odd, ::-1], axis=1)] = False
+        idx = np.flatnonzero(shared)  # row-major: each row's pairs are consecutive
+        mine, theirs = np.tile(shuffled[i, cols], len(rest))[idx], rest.ravel()[idx]
+        discordant = (mine[0::2] < mine[1::2]) != (theirs[0::2] < theirs[1::2])
+        half = counts // 2
+        starts = np.cumsum(half) - half
+        values[i, i + 1 :] = np.add.reduceat(discordant, starts, dtype=np.int64) / half
         values[i + 1 :, i] = values[i, i + 1 :]
     return FeatureMatrix(values=values, n_pairs=0)
 

@@ -282,11 +282,20 @@ def write_rankings_csv(matrix: np.ndarray, path, seed: int) -> None:
 
 def read_rankings_csv(path) -> tuple[np.ndarray, dict]:
     """Read a file written by ``write_rankings_csv`` into an (n, m) positions
-    matrix; a malformed row raises ``ValueError``."""
+    matrix; a malformed header or row raises ``ValueError``."""
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    header = dict(kv.split("=") for kv in lines[0].split(","))
-    meta = {"n": int(header["n"]), "m": int(header["m"]), "seed": int(header["seed"])}
+    if not lines:
+        raise ValueError("rankings file is empty")
+    fields = [kv.split("=") for kv in lines[0].split(",")]
+    if any(len(kv) != 2 for kv in fields) or sorted(k for k, _ in fields) != ["m", "n", "seed"]:
+        raise ValueError(f"header {lines[0]!r} is not n=<int>,m=<int>,seed=<int>")
+    try:
+        meta = {k: int(v) for k, v in fields}
+    except ValueError:
+        raise ValueError(f"header {lines[0]!r} has a non-integer value") from None
     n, m = meta["n"], meta["m"]
+    if n < 0 or m < 0:
+        raise ValueError(f"header {lines[0]!r} has a negative size")
     rankings: list[Ranking] = [None] * n  # type: ignore[list-item]
     for line in lines[1:]:
         agent, *order = (int(v) for v in line.split(","))

@@ -233,7 +233,18 @@ def verify_theorem_bias(
 ) -> VerifyReport:
     """Check that the expected rank-distance curve against a query agent is
     minimized at the support boundary for off-center queries (and at the
-    center for a centered query)."""
+    center for a centered query).
+
+    A left query must lie in [BIAS_GRID_STEP, 0.5) and a right one in
+    (0.5, 1 - BIAS_GRID_STEP], so that at least one grid step lies between
+    the query and its boundary; any other query raises ``ValueError`` before
+    a curve is computed."""
+    for x_q in left_queries:
+        if not BIAS_GRID_STEP <= x_q < 0.5:
+            raise ValueError(f"left query {x_q} is outside [{BIAS_GRID_STEP:g}, 0.5)")
+    for x_q in right_queries:
+        if not 0.5 < x_q <= 1.0 - BIAS_GRID_STEP:
+            raise ValueError(f"right query {x_q} is outside (0.5, {1.0 - BIAS_GRID_STEP:g}]")
     grid = np.round(np.arange(0.0, 1.0 + BIAS_GRID_STEP / 2, BIAS_GRID_STEP), 10)
     claims = []
     curves = {}

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import math
 import os
@@ -244,6 +245,53 @@ def test_partial_feature_matrix_equals_per_pair_loop(matrix, pairing_seed):
         return
     got = feature_matrix(matrix, pairing_seed)
     assert np.array_equal(got.values, expected) and got.n_pairs == 0
+
+
+@st.composite
+def _pair_sharing_last_column(draw):
+    """(matrix, pairing_seed) where two agents share exactly 2 or 3
+    alternatives, one of them the id the shuffle puts last; the others
+    observe all m alternatives, so the shuffle spans all m ids."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(4, 20))
+    pairing_seed = draw(st.integers(0, 1000))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    last = rng.substream(pairing_seed, rng.PAIRING).permutation(m)[-1]
+    ids = np.concatenate([[last], gen.permutation(np.delete(np.arange(m), last))])
+    size = draw(st.integers(2, 3))
+    split = draw(st.integers(size, m))
+    a = gen.permutation(ids[:split])  # ids[:size] are the shared alternatives
+    b = gen.permutation(np.concatenate([ids[:size], ids[split:]]))
+    rows = [Ranking.from_order(gen.permutation(m)) for _ in range(n - 2)] + [
+        Ranking.from_order(a),
+        Ranking.from_order(b),
+    ]
+    return rank_matrix([rows[t] for t in gen.permutation(n)], m=m), pairing_seed
+
+
+@settings(deadline=None, max_examples=80)
+@given(_pair_sharing_last_column())
+def test_partial_feature_matrix_odd_drop_at_last_column(case):
+    matrix, pairing_seed = case
+    got = feature_matrix(matrix, pairing_seed)
+    assert np.array_equal(got.values, _partial_features_per_pair(matrix, pairing_seed))
+
+
+# sha256 of feature_matrix(...).values.tobytes() at the knn-partial benchmark
+# size (n=120, m=500, box 5), keyed by (seed, c_obs)
+PARTIAL_FEATURE_DIGESTS = {
+    (0, 2.0): "47b6df5592cdad8ac3b831067274d2bf852a4d615f167d1ad408970864efa67a",
+    (1, 2.0): "f1df0c0512bdb0f6211937e0485a60361973acdbea4f517bf12e6cda38096093",
+    (0, 1.25): "bf2d5550fc32a1268bd31a6896416c319b4e1555bd7fce16af9ccd4c91d140d1",
+}
+
+
+@pytest.mark.parametrize("seed, c_obs", list(PARTIAL_FEATURE_DIGESTS))
+def test_partial_feature_bytes_pinned(seed, c_obs):
+    cfg = ModelConfig(n_agents=120, n_alternatives=500, dim=1, box=5.0, seed=seed)
+    rankings = sample_rankings(sample_population(cfg), seed=seed, c_obs=c_obs)
+    values = feature_matrix(rankings, pairing_seed=seed).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PARTIAL_FEATURE_DIGESTS[seed, c_obs]
 
 
 @settings(deadline=None, max_examples=80)

@@ -347,17 +347,24 @@ def test_rankings_csv_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "rows, problem",
+    "rows, problem",  # the file's rows, header first
     [
-        (["0,0,1,7", "1,2,1,0"], "alternative id"),  # m = 3
-        (["0,0,1,2", "2,2,1,0"], "agent id 2"),
-        (["0,0,1,2", "-1,2,1,0"], "agent id -1"),
-        (["0,0,1,2", "0,0,2,1"], "duplicate row for agent 0"),
+        (["n=2,m=3,seed=0", "0,0,1,7", "1,2,1,0"], "alternative id"),
+        (["n=2,m=3,seed=0", "0,0,1,2", "2,2,1,0"], "agent id 2"),
+        (["n=2,m=3,seed=0", "0,0,1,2", "-1,2,1,0"], "agent id -1"),
+        (["n=2,m=3,seed=0", "0,0,1,2", "0,0,2,1"], "duplicate row for agent 0"),
+        ([], "file is empty"),
+        (["n=2,m=3", "0,0,1,2", "1,2,1,0"], "is not n=<int>,m=<int>,seed=<int>"),
+        (["garbage", "0,0,1,2", "1,2,1,0"], "header 'garbage' is not"),
+        (["n=2,m=3,seed=0,k=1", "0,0,1,2", "1,2,1,0"], "is not n=<int>"),
+        (["n=2,m=3,seed=a=b", "0,0,1,2", "1,2,1,0"], "is not n=<int>"),
+        (["n=2,m=three,seed=0", "0,0,1,2", "1,2,1,0"], "non-integer value"),
+        (["n=-2,m=3,seed=0"], "negative size"),
     ],
 )
 def test_rankings_csv_rejects_malformed_rows(tmp_path, rows, problem):
     path = tmp_path / "rankings.csv"
-    path.write_text("\n".join(["n=2,m=3,seed=0", *rows]) + "\n")
+    path.write_text("".join(row + "\n" for row in rows))
     with pytest.raises(ValueError, match=problem):
         read_rankings_csv(path)
 

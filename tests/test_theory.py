@@ -10,6 +10,7 @@ from plknn import (
     expected_nkt_pair,
     pairwise_prob,
 )
+import plknn.theory
 from plknn import rng
 from plknn.cli import EXIT_INCONCLUSIVE, verify_exit_code
 from plknn.theory import (
@@ -141,6 +142,18 @@ def test_verify_theorem_bias_small_grid():
     # a light version of the acceptance run: two query positions
     report = verify_theorem_bias(left_queries=(0.2,), right_queries=(0.8,))
     assert report.passed
+
+
+@pytest.mark.parametrize("side, x_q", [("left", 0.001), ("right", 0.999), ("left", 1.5), ("right", -0.3)])
+def test_verify_theorem_bias_rejects_query_off_its_side(monkeypatch, side, x_q):
+    # next to the boundary there is no grid step to check, and a query on
+    # the wrong side would report a fail; both are rejected before any curve
+    def no_curve(*args, **kwargs):
+        raise AssertionError("a curve was computed")
+
+    monkeypatch.setattr(plknn.theory, "expected_nkt_curve", no_curve)
+    with pytest.raises(ValueError, match=f"{side} query {x_q}"):
+        verify_theorem_bias(**{f"{side}_queries": (x_q,)})
 
 
 def test_bound_reports_deterministic():
