@@ -52,7 +52,6 @@ from .latent import (
     utility,
 )
 from .rankings import (
-    Ranking,
     exact_order_prob,
     rank_matrix,
     read_rankings_csv,

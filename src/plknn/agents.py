@@ -136,13 +136,29 @@ def predict_pair(neighbors: NeighborSet, matrix: np.ndarray, a: int, b: int) -> 
     Neighbors that do not observe both alternatives are skipped; at least one
     usable neighbor is required.
     """
-    if not (0 <= a < matrix.shape[1] and 0 <= b < matrix.shape[1]):
-        raise ValueError(f"no neighbor ranks both {a} and {b}")
-    return float(vote_probabilities(matrix, neighbors.members, np.array([[a, b]]))[0])
+    if any(not isinstance(j, Integral) or isinstance(j, bool) for j in (a, b)):
+        raise ValueError(f"alternatives must be integer ids, got {a!r} and {b!r}")
+    pairs = _check_pairs([[a, b]], matrix.shape[1])
+    return float(vote_probabilities(matrix, neighbors.members, pairs)[0])
+
+
+def _check_pairs(pair_sample, m: int) -> np.ndarray:
+    """``pair_sample`` as an array; anything but a nonempty (k, 2) integer
+    array of alternative ids in [0, m) with a != b in every row raises
+    ``ValueError``."""
+    pairs = np.asarray(pair_sample)
+    if (
+        pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size == 0 or pairs.dtype.kind not in "iu"
+        or pairs.min() < 0 or pairs.max() >= m or np.any(pairs[:, 0] == pairs[:, 1])
+    ):
+        raise ValueError(f"pairs must be a nonempty (k, 2) integer array of ids in [0, {m}), a != b")
+    return pairs
 
 
 def sample_pairs(m: int, count: int, generator: np.random.Generator) -> np.ndarray:
     """(count, 2) array of uniformly sampled distinct alternative pairs."""
+    if m < 2:
+        raise ValueError(f"distinct pairs need m >= 2 alternatives, got m={m}")
     a = generator.integers(0, m, size=count)
     b = generator.integers(0, m - 1, size=count)
     b = np.where(b >= a, b + 1, b)
@@ -161,9 +177,7 @@ def prediction_error(
 ) -> float:
     """Mean absolute deviation between the neighbor vote and the ground-truth
     pairwise probability over the sampled alternative pairs."""
-    pair_sample = np.asarray(pair_sample, dtype=np.int64)
-    if pair_sample.size == 0:
-        raise ValueError("pair sample must be nonempty")
+    pair_sample = _check_pairs(pair_sample, matrix.shape[1])
     if method == "kt_knn":
         neighbors = kt_knn(matrix, query, k)
     elif method == "global_knn":

@@ -1,6 +1,10 @@
 """Kendall-tau machinery: exact distances, pair-sampled estimators, and the
 global feature matrix with its agent distance.
 
+The pairwise metrics (``kendall_tau``, ``kendall_tau_naive``, ``nkt``,
+``enkt_feature``) take two positions rows of one length, rows of the matrix
+``sample_rankings`` returns, and compare the alternatives both observe.
+
 Every exact distance is an integer discordant-pair count made by one routine,
 ``_discordances(row, rows)``: it argsorts one positions row once, gathers each
 other row's positions in that order, shifted by one, drops the alternatives
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .rankings import Ranking, rank_matrix
+from .rankings import _order
 
 _UNRESOLVED = object()
 # scipy's compiled kernel once resolved; None selects the public statistic
@@ -46,27 +50,40 @@ def _resolve_kernel():
     return _kendall_dis
 
 
-def kendall_tau_naive(r1: Ranking, r2: Ranking) -> int:
+def _rows(r1, r2) -> tuple[np.ndarray, np.ndarray]:
+    """Two positions rows as arrays, each checked by ``rankings._order``; rows
+    of unequal length raise ``ValueError``."""
+    r1, r2 = np.asarray(r1), np.asarray(r2)
+    _order(r1)
+    _order(r2)
+    if r1.size != r2.size:
+        raise ValueError(f"positions rows differ in length: {r1.size} and {r2.size}")
+    return r1, r2
+
+
+def kendall_tau_naive(r1, r2) -> int:
     """Reference O(s^2) discordant-pair count over the shared alternatives."""
-    shared = np.intersect1d(r1.observed, r2.observed, assume_unique=True)
-    if shared.size < 2:
+    r1, r2 = _rows(r1, r2)
+    shared = (r1 >= 0) & (r2 >= 0)
+    if np.count_nonzero(shared) < 2:
         raise ValueError("rankings share fewer than 2 alternatives")
-    p1, p2 = r1.positions_of(shared), r2.positions_of(shared)
+    p1, p2 = r1[shared], r2[shared]
     d1 = np.sign(p1[:, None] - p1[None, :])
     d2 = np.sign(p2[:, None] - p2[None, :])
     return int(np.sum(d1 * d2 < 0) // 2)
 
 
-def kendall_tau(r1: Ranking, r2: Ranking) -> int:
+def kendall_tau(r1, r2) -> int:
     """Discordant-pair count over the shared alternatives, O(s log s)."""
-    first, second = rank_matrix([r1, r2])
-    return int(_discordances(first, second[None, :])[0])
+    r1, r2 = _rows(r1, r2)
+    return int(_discordances(r1, r2[None, :])[0])
 
 
-def nkt(r1: Ranking, r2: Ranking) -> float:
+def nkt(r1, r2) -> float:
     """Normalized Kendall-tau distance: discordant pairs over C(s, 2)."""
-    s = np.intersect1d(r1.observed, r2.observed, assume_unique=True).size
-    return kendall_tau(r1, r2) / (s * (s - 1) // 2)
+    r1, r2 = _rows(r1, r2)
+    s = np.count_nonzero((r1 >= 0) & (r2 >= 0))
+    return float(kendall_tau(r1, r2) / (s * (s - 1) // 2))
 
 
 def _discordances(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -149,25 +166,25 @@ def make_pairing(alt_ids, pairing_seed: int) -> np.ndarray:
     return shuffled[: 2 * (alt_ids.size // 2)].reshape(-1, 2)
 
 
-def enkt_feature(r1: Ranking, r2: Ranking, pairing) -> float:
+def enkt_feature(r1, r2, pairing) -> float:
     """Mean per-pair discordance indicator over disjoint alternative pairs.
 
     Each pair must be fully observed by both rankings; pairs must not share
     alternatives. The result is a multiple of 1/len(pairing) in [0, 1] and is
     an unbiased estimate of E[NKT(r1, r2)] for i.i.d. alternatives.
     """
+    r1, r2 = _rows(r1, r2)
     pairing = np.asarray(pairing, dtype=np.int64)
     if pairing.ndim != 2 or pairing.shape[1] != 2 or pairing.shape[0] == 0:
         raise ValueError("pairing must be a nonempty (k, 2) index array")
     flat = pairing.ravel()
     if np.unique(flat).size != flat.size:
         raise ValueError("pairing contains overlapping pairs")
-    for r in (r1, r2):
-        if np.setdiff1d(flat, r.observed).size:
-            raise ValueError("pairing contains alternatives not observed by both rankings")
-    a1 = r1.positions_of(pairing[:, 0]) - r1.positions_of(pairing[:, 1])
-    a2 = r2.positions_of(pairing[:, 0]) - r2.positions_of(pairing[:, 1])
-    return float(np.mean(a1 * a2 < 0))
+    # ids outside [0, m) are rejected before they index (-1 would wrap)
+    if flat.min() < 0 or flat.max() >= r1.size or np.any(r1[flat] < 0) or np.any(r2[flat] < 0):
+        raise ValueError("pairing contains alternatives not observed by both rankings")
+    a, b = pairing[:, 0], pairing[:, 1]
+    return float(np.mean((r1[a] < r1[b]) != (r2[a] < r2[b])))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Plackett-Luce ranking sampler and exact order probabilities.
 
 Rankings are strict total orders over an observed subset of alternative
-indices, held as one (n, m) int32 positions matrix: 0-based positions, -1 for
-unobserved. ``Ranking`` is one row's view, for the pairwise metrics and CSV
-I/O. Sampling follows the sequential-choice model: at each step the next
+indices, held as an (n, m) int32 positions matrix: 0-based positions, -1 for
+unobserved. A function on one ranking takes or returns one row of it. A
+best-first sequence of alternative ids is the input only where a ranking is
+written down: ``rank_matrix``, the rankings CSV and ``exact_order_prob``.
+Sampling follows the sequential-choice model: at each step the next
 alternative is drawn from the remaining pool with probability proportional to
 its utility. The Gumbel-max sampler (rank by log-utility plus i.i.d. Gumbel
 noise) is the default because it is a single argsort; the sequential roulette
@@ -13,7 +15,6 @@ in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,62 +33,17 @@ def _row_blocks(n: int, m: int):
         yield slice(start, min(start + rows, n))
 
 
-@dataclass(frozen=True, eq=False)
-class Ranking:
-    """A strict order over an observed subset of alternative indices.
-
-    ``order`` lists alternative indices best-first; ``observed`` is the same
-    set sorted ascending. ``rank_of`` is 1-based.
-    """
-
-    order: np.ndarray
-    observed: np.ndarray
-
-    @classmethod
-    def from_order(cls, order) -> "Ranking":
-        order = np.asarray(order, dtype=np.int64)
-        if order.ndim != 1 or order.size == 0:
-            raise ValueError("order must be a nonempty 1-D index sequence")
-        observed = np.sort(order)
-        if observed[0] < 0 or np.any(observed[1:] == observed[:-1]):
-            raise ValueError("order must be a duplicate-free list of nonnegative indices")
-        return cls(order=order, observed=observed)
-
-    def __len__(self) -> int:
-        return int(self.order.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ranking):
-            return NotImplemented
-        return np.array_equal(self.order, other.order)
-
-    def _positions(self) -> dict[int, int]:
-        cached = self.__dict__.get("_pos_cache")
-        if cached is None:
-            cached = {int(j): p for p, j in enumerate(self.order)}
-            object.__setattr__(self, "_pos_cache", cached)
-        return cached
-
-    def rank_of(self, j: int) -> int:
-        """1-based position of alternative ``j`` within this ranking."""
-        try:
-            return self._positions()[int(j)] + 1
-        except KeyError:
-            raise KeyError(f"alternative {j} is not observed by this ranking") from None
-
-    @classmethod
-    def from_positions(cls, row) -> "Ranking":
-        """Row view of a positions matrix: 0-based positions, -1 unobserved."""
-        row = np.asarray(row)
-        observed = np.flatnonzero(row >= 0)
-        if not np.array_equal(np.sort(row[observed]), np.arange(observed.size)):
-            raise ValueError("observed positions must be 0..s-1, each once")
-        return cls.from_order(observed[np.argsort(row[observed])])
-
-    def positions_of(self, indices) -> np.ndarray:
-        """0-based positions of the given observed alternatives."""
-        pos = self._positions()
-        return np.fromiter((pos[int(j)] for j in indices), dtype=np.int64, count=len(indices))
+def _order(row) -> np.ndarray:
+    """Best-first alternative ids of one positions row (0-based positions, -1
+    unobserved). A row that is not 1-D, observes nothing, or whose observed
+    positions are not 0..s-1 each once raises ``ValueError``."""
+    row = np.asarray(row)
+    if row.ndim != 1:
+        raise ValueError(f"a positions row must be 1-D, got shape {row.shape}")
+    observed = np.flatnonzero(row >= 0)
+    if observed.size == 0 or not np.array_equal(np.sort(row[observed]), np.arange(observed.size)):
+        raise ValueError("observed positions must be 0..s-1, each once, with s >= 1")
+    return observed[np.argsort(row[observed])]
 
 
 def _utilities(x: np.ndarray, alternatives: np.ndarray) -> np.ndarray:
@@ -137,8 +93,10 @@ def _gumbel_order(log_u: np.ndarray, generator: np.random.Generator) -> np.ndarr
     return _row_orders(keys[None, :])[0]
 
 
-def sample_ranking(x, alternatives, rng_stream: np.random.Generator, method: str = "gumbel") -> Ranking:
-    """Sample one full ranking of ``alternatives`` for the agent at ``x``.
+def sample_ranking(
+    x, alternatives, rng_stream: np.random.Generator, method: str = "gumbel"
+) -> np.ndarray:
+    """Sample one full ranking of ``alternatives`` for the agent at ``x``, as a positions row.
 
     ``method`` selects between the Gumbel-max sampler and the sequential
     roulette sampler; both realize the same order distribution.
@@ -150,7 +108,7 @@ def sample_ranking(x, alternatives, rng_stream: np.random.Generator, method: str
         order = _sequential_order(u, rng_stream)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    return Ranking.from_order(order)
+    return rank_matrix([order], m=u.size)[0]
 
 
 def _sequential_order(utilities: np.ndarray, generator: np.random.Generator) -> np.ndarray:
@@ -211,25 +169,36 @@ def exact_order_prob(x, alternatives, order) -> float:
     return float(np.prod(chosen / remaining))
 
 
-def restrict_ranking(r: Ranking, subset) -> Ranking:
-    """Induced order on ``subset``; relative order is preserved."""
+def restrict_ranking(row, subset) -> np.ndarray:
+    """Positions row of the induced order on ``subset``: relative order is
+    preserved, positions are renumbered 0..|subset|-1, the rest read -1."""
+    order = _order(row)
     subset = np.asarray(sorted(int(j) for j in set(np.asarray(subset).tolist())), dtype=np.int64)
     if subset.size == 0:
         raise ValueError("subset must be nonempty")
-    missing = np.setdiff1d(subset, r.observed, assume_unique=True)
+    missing = np.setdiff1d(subset, order)
     if missing.size:
         raise ValueError(f"subset contains unobserved alternatives: {missing.tolist()}")
-    mask = np.isin(r.order, subset)
-    return Ranking.from_order(r.order[mask])
+    return rank_matrix([order[np.isin(order, subset)]], m=len(row))[0]
 
 
-def rank_matrix(rankings: list[Ranking], m: int | None = None) -> np.ndarray:
-    """(n, m) int32 matrix of 0-based positions; -1 marks unobserved alternatives."""
+def rank_matrix(orders, m: int | None = None) -> np.ndarray:
+    """(n, m) int32 matrix of 0-based positions from best-first sequences of
+    alternative ids; -1 marks unobserved alternatives. ``m`` defaults to one
+    past the highest id. An empty order, or a repeated id or one outside
+    [0, m), raises ``ValueError``."""
+    orders = [np.asarray(order, dtype=np.int64) for order in orders]
     if m is None:
-        m = 1 + max((int(r.observed[-1]) for r in rankings), default=-1)
-    out = np.full((len(rankings), m), -1, dtype=np.int32)
-    for i, r in enumerate(rankings):
-        out[i, r.order] = np.arange(len(r))
+        m = 1 + max((int(order.max(initial=-1)) for order in orders), default=-1)
+    out = np.full((len(orders), m), -1, dtype=np.int32)
+    for i, order in enumerate(orders):
+        if order.ndim != 1 or order.size == 0 or order.min() < 0 or order.max() >= m:
+            raise ValueError(
+                f"order {i} must be a nonempty 1-D sequence of alternative ids in [0, {m})"
+            )
+        out[i, order] = np.arange(order.size)
+        if np.count_nonzero(out[i] >= 0) < order.size:
+            raise ValueError(f"order {i} repeats an alternative id")
     return out
 
 
@@ -276,7 +245,7 @@ def write_rankings_csv(matrix: np.ndarray, path, seed: int) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
         fp.write(f"n={n},m={m},seed={seed}\n")
         for i, row in enumerate(matrix):
-            order = Ranking.from_positions(row).order
+            order = _order(row)
             fp.write(str(i) + "," + ",".join(str(int(j)) for j in order) + "\n")
 
 
@@ -296,16 +265,14 @@ def read_rankings_csv(path) -> tuple[np.ndarray, dict]:
     n, m = meta["n"], meta["m"]
     if n < 0 or m < 0:
         raise ValueError(f"header {lines[0]!r} has a negative size")
-    rankings: list[Ranking] = [None] * n  # type: ignore[list-item]
+    orders: list = [None] * n
     for line in lines[1:]:
         agent, *order = (int(v) for v in line.split(","))
         if not 0 <= agent < n:
             raise ValueError(f"agent id {agent} outside [0, {n})")
-        if rankings[agent] is not None:
+        if orders[agent] is not None:
             raise ValueError(f"duplicate row for agent {agent}")
-        if not all(0 <= j < m for j in order):
-            raise ValueError(f"agent {agent} ranks an alternative id outside [0, {m})")
-        rankings[agent] = Ranking.from_order(order)
-    if any(r is None for r in rankings):
+        orders[agent] = order
+    if any(order is None for order in orders):
         raise ValueError("rankings file is missing agents")
-    return rank_matrix(rankings, m=m), meta
+    return rank_matrix(orders, m=m), meta

@@ -5,7 +5,6 @@ from plknn import (
     ModelConfig,
     NeighborSet,
     Population,
-    Ranking,
     feature_matrix,
     global_knn,
     kt_knn,
@@ -103,10 +102,10 @@ def test_global_threshold_mode(small_world):
 
 def test_kt_knn_tie_break_and_validation():
     rankings = rank_matrix([
-        Ranking.from_order([0, 1, 2]),
-        Ranking.from_order([0, 2, 1]),  # distance 1
-        Ranking.from_order([1, 0, 2]),  # distance 1, larger index
-        Ranking.from_order([2, 1, 0]),  # distance 3
+        [0, 1, 2],
+        [0, 2, 1],  # distance 1
+        [1, 0, 2],  # distance 1, larger index
+        [2, 1, 0],  # distance 3
     ])
     ns = kt_knn(rankings, 0, 2)
     assert list(ns.members) == [1, 2]
@@ -163,20 +162,21 @@ def test_relabeling_equivariance(small_world):
 
 def test_predict_pair_basics():
     rankings = rank_matrix([
-        Ranking.from_order([0, 1, 2]),
-        Ranking.from_order([0, 2, 1]),
-        Ranking.from_order([1, 2, 0]),
-        Ranking.from_order([2, 0, 1]),
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 2, 0],
+        [2, 0, 1],
     ])
     agree = NeighborSet(3, (0, 1), "oracle", ("top_k", 2))
     assert predict_pair(agree, rankings, 0, 2) == 1.0
     split = NeighborSet(3, (0, 2), "oracle", ("top_k", 2))
     assert predict_pair(split, rankings, 0, 1) == 0.5
     # neighbors missing an alternative are skipped
-    partial = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])])
+    partial = rank_matrix([[0, 1], [2, 3]])
     ns = NeighborSet(9, (0, 1), "oracle", ("top_k", 2))
     assert predict_pair(ns, partial, 0, 1) == 1.0
-    for a, b in ((0, 3), (-1, 0), (0, -2), (0, 9)):  # unobserved or not an alternative
+    # unobserved, not an alternative, the same alternative twice, not an integer
+    for a, b in ((0, 3), (-1, 0), (0, -2), (0, 9), (1, 1), (True, 0), (0, np.True_), (1.5, 0)):
         with pytest.raises(ValueError):
             predict_pair(ns, partial, a, b)
     with pytest.raises(ValueError, match="no neighbor ranks both"):
@@ -186,7 +186,7 @@ def test_predict_pair_basics():
 def test_neighbor_ids_are_range_checked():
     # an id outside [0, n) must not vote through negative indexing or end in
     # an IndexError
-    matrix = rank_matrix([Ranking.from_order([0, 1, 2]), Ranking.from_order([2, 1, 0])])
+    matrix = rank_matrix([[0, 1, 2], [2, 1, 0]])
     pairs = np.array([[0, 2]])
     for member in (-1, 2, 7):
         with pytest.raises(ValueError, match="agent indices"):
@@ -236,6 +236,16 @@ def test_prediction_error_validation(small_world):
         prediction_error("global_knn", 0, pop, rankings, np.array([[0, 1]]), k=3)
     with pytest.raises(ValueError):
         prediction_error("nope", 0, pop, rankings, np.array([[0, 1]]), k=3)
+    # not a nonempty (k, 2) integer array of distinct alternative ids in [0, m)
+    m = rankings.shape[1]
+    for bad in (
+        [[-1, 0]], [[3, 3]], [[0, 1, 2]], [[0.7, 1.2]], [[0, m]], [0, 1], [[True, False]], []
+    ):
+        with pytest.raises(ValueError, match="pairs must be a nonempty"):
+            prediction_error("oracle", 0, pop, rankings, bad, k=5)
+    for too_few in (0, 1):
+        with pytest.raises(ValueError, match=f"m >= 2 alternatives, got m={too_few}"):
+            sample_pairs(too_few, 3, rng.substream(0, rng.PAIR_SAMPLE, 0))
 
 
 def test_exchangeable_agents_share_common_distance_scale():
@@ -251,8 +261,7 @@ def test_exchangeable_agents_share_common_distance_scale():
     rankings = sample_rankings(pop, seed=9)
     from plknn.kendall import nkt
 
-    rows = [Ranking.from_positions(row) for row in rankings]
-    dists = np.array([nkt(rows[0], rows[j]) for j in range(1, n)])
+    dists = np.array([nkt(rankings[0], rankings[j]) for j in range(1, n)])
     assert dists.std() < 0.05 * dists.mean()
 
 

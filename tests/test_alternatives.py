@@ -8,7 +8,6 @@ from plknn import (
     CandidateSet,
     ModelConfig,
     Population,
-    Ranking,
     alt_neighbors,
     candidate_set,
     half_stat,
@@ -20,7 +19,7 @@ from plknn import (
 )
 from plknn import rng
 from plknn.alternatives import _first_half, _half_stats, _sign_distance_columns, split_step
-from plknn.rankings import _row_blocks, positions_matrix, rank_matrix
+from plknn.rankings import _order, _row_blocks, positions_matrix, rank_matrix
 
 
 def _uniform_world(seed, n, m, extra_alts=()):
@@ -33,22 +32,22 @@ def _uniform_world(seed, n, m, extra_alts=()):
 
 def test_sign_distance_basics():
     rankings = rank_matrix([
-        Ranking.from_order([0, 1, 2]),
-        Ranking.from_order([0, 1, 2]),
-        Ranking.from_order([2, 1, 0]),
+        [0, 1, 2],
+        [0, 1, 2],
+        [2, 1, 0],
     ])
     # two of three agents rank 0 above 2
     assert sign_distance(rankings, 0, 2) == pytest.approx(1 / 3)
     assert sign_distance(rankings, 2, 0) == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         sign_distance(rankings, 1, 1)
-    disjoint = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])])
+    disjoint = rank_matrix([[0, 1], [2, 3]])
     with pytest.raises(ValueError):
         sign_distance(disjoint, 0, 2)
 
 
 def test_sign_distance_value_is_mean_of_unit_signs():
-    rankings = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([1, 0])])
+    rankings = rank_matrix([[0, 1], [1, 0]])
     # one +1 and one -1 cancel exactly
     assert sign_distance(rankings, 0, 1) == 0.0
 
@@ -105,8 +104,8 @@ def test_candidate_set_relabeling_symmetry():
 
 def test_half_stat_basics():
     rankings = rank_matrix([
-        Ranking.from_order([0, 1, 2, 3]),
-        Ranking.from_order([3, 2, 1, 0]),
+        [0, 1, 2, 3],
+        [3, 2, 1, 0],
     ])
     assert half_stat(rankings, 0, 0).value == 1.0
     # alternatives 0 and 1 share a half for both agents
@@ -115,13 +114,12 @@ def test_half_stat_basics():
     assert half_stat(rankings, 0, 2).value == 0.0
     assert half_stat(rankings, 2, 0).value == half_stat(rankings, 0, 2).value
     with pytest.raises(ValueError):
-        half_stat(rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 3])]), 0, 2)
+        half_stat(rank_matrix([[0, 1], [2, 3]]), 0, 2)
 
 
 def test_half_stat_odd_length_boundary():
     # 5 observed alternatives: the first half is positions 1..3
-    r = Ranking.from_order([4, 0, 3, 1, 2])
-    halves = _first_half(rank_matrix([r], m=5))
+    halves = _first_half(rank_matrix([[4, 0, 3, 1, 2]], m=5))
     assert halves[0, 4] and halves[0, 0] and halves[0, 3]
     assert not halves[0, 1] and not halves[0, 2]
 
@@ -139,7 +137,7 @@ def test_half_stats_equal_the_per_pair_mean():
             usable = (matrix[:, 4] >= 0) & (matrix[:, b] >= 0)
             expected.append(np.mean(halves[usable, 4] == halves[usable, b]))
         assert np.array_equal(_half_stats(matrix, 4, others), expected)
-    partial = rank_matrix([Ranking.from_order([0, 1]), Ranking.from_order([2, 1])])
+    partial = rank_matrix([[0, 1], [2, 1]])
     with pytest.raises(ValueError, match="no agent ranks both 0 and 2"):
         _half_stats(partial, 0, [1, 2])
 
@@ -309,11 +307,12 @@ def test_split_cluster_drops_mirror_small_scale():
 
 
 def test_split_cluster_list_and_matrix_paths_agree():
-    # the matrix rebuilt from its row views gives the same candidates and split
+    # the matrix rebuilt from its rows' best-first orders gives the same
+    # candidates and split
     cfg = ModelConfig(n_agents=300, n_alternatives=30, dim=1, box=1.0, seed=15)
     pop = sample_population(cfg)
     matrix = sample_rankings(pop, seed=15)
-    rebuilt = rank_matrix([Ranking.from_positions(row) for row in matrix], m=30)
+    rebuilt = rank_matrix([_order(row) for row in matrix], m=30)
     cands = candidate_set(rebuilt, 2, ell=2)
     assert candidate_set(matrix, 2, ell=2).members == cands.members
     assert split_cluster(rebuilt, 2, cands) == split_cluster(matrix, 2, cands)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from plknn import (
     ModelConfig,
-    Ranking,
     agent_distance,
     discordance_matrix,
     enkt_feature,
@@ -26,6 +25,7 @@ from plknn import (
     make_pairing,
     nkt,
     rank_matrix,
+    restrict_ranking,
     sample_population,
     sample_rankings,
 )
@@ -35,32 +35,31 @@ from plknn.kendall import _discordances, agent_distances_from
 from plknn.theory import expected_agent_gap_curve
 
 
-def _perm_ranking(perm):
-    return Ranking.from_order(list(perm))
+def _perm_row(perm):
+    return rank_matrix([list(perm)])[0]
 
 
 def test_kendall_tau_examples():
-    r1 = _perm_ranking([0, 1, 2])
+    r1 = _perm_row([0, 1, 2])
     assert kendall_tau(r1, r1) == 0
-    assert kendall_tau(r1, _perm_ranking([2, 1, 0])) == 3
-    assert kendall_tau(r1, _perm_ranking([1, 0, 2])) == 1
-    full = _perm_ranking(range(8))
-    assert kendall_tau(full, _perm_ranking(range(7, -1, -1))) == 8 * 7 // 2
+    assert kendall_tau(r1, _perm_row([2, 1, 0])) == 3
+    assert kendall_tau(r1, _perm_row([1, 0, 2])) == 1
+    full = _perm_row(range(8))
+    assert kendall_tau(full, _perm_row(range(7, -1, -1))) == 8 * 7 // 2
 
 
 def test_kendall_tau_partial_intersection():
-    r1 = Ranking.from_order([3, 5, 9, 1])
-    r2 = Ranking.from_order([9, 5, 7])
+    r1, r2, r3 = rank_matrix([[3, 5, 9, 1], [9, 5, 7], [7, 9]], m=10)
     # shared alternatives {5, 9}: r1 has 5 above 9, r2 disagrees
     assert kendall_tau(r1, r2) == 1
     with pytest.raises(ValueError):
-        kendall_tau(r1, Ranking.from_order([7, 9]))
+        kendall_tau(r1, r3)
 
 
 def test_nkt_examples():
-    r1 = _perm_ranking(range(6))
+    r1 = _perm_row(range(6))
     assert nkt(r1, r1) == 0.0
-    assert nkt(r1, _perm_ranking(range(5, -1, -1))) == 1.0
+    assert nkt(r1, _perm_row(range(5, -1, -1))) == 1.0
 
 
 def test_kt_metric_axioms_exhaustive_small():
@@ -84,7 +83,7 @@ def test_kt_metric_axioms_exhaustive_small():
         gen = np.random.default_rng(s)
         for _ in range(10):
             i, j = gen.integers(0, len(perms), 2)
-            assert kendall_tau(_perm_ranking(perms[i]), _perm_ranking(perms[j])) == d[i, j]
+            assert kendall_tau(_perm_row(perms[i]), _perm_row(perms[j])) == d[i, j]
 
 
 @settings(deadline=None, max_examples=80)
@@ -92,8 +91,8 @@ def test_kt_metric_axioms_exhaustive_small():
 def test_fast_matches_naive(data):
     m = data.draw(st.integers(2, 40))
     base = list(range(m))
-    r1 = _perm_ranking(data.draw(st.permutations(base)))
-    r2 = _perm_ranking(data.draw(st.permutations(base)))
+    r1 = _perm_row(data.draw(st.permutations(base)))
+    r2 = _perm_row(data.draw(st.permutations(base)))
     assert kendall_tau(r1, r2) == kendall_tau_naive(r1, r2)
 
 
@@ -103,8 +102,8 @@ def test_fast_matches_naive_on_partial():
         m = 30
         o1 = gen.permutation(m)[: gen.integers(5, m)]
         o2 = gen.permutation(m)[: gen.integers(5, m)]
-        r1, r2 = Ranking.from_order(o1), Ranking.from_order(o2)
-        if np.intersect1d(r1.observed, r2.observed).size < 2:
+        r1, r2 = rank_matrix([o1, o2], m=m)
+        if np.count_nonzero((r1 >= 0) & (r2 >= 0)) < 2:
             continue
         assert kendall_tau(r1, r2) == kendall_tau_naive(r1, r2)
 
@@ -127,14 +126,14 @@ def _partial_pairs(draw):
     cut = draw(st.integers(0, len(rest)))
     o1 = draw(st.permutations(shared + rest[:cut]))
     o2 = draw(st.permutations(shared + rest[cut:]))
-    return Ranking.from_order(o1), Ranking.from_order(o2)
+    return tuple(rank_matrix([o1, o2], m=m))
 
 
 @settings(deadline=None, max_examples=60)
 @given(_permutation_sets())
 def test_discordance_matrix_matches_naive(orders):
-    rankings = [_perm_ranking(o) for o in orders]
-    d = discordance_matrix(rank_matrix(rankings))
+    rankings = rank_matrix(orders)
+    d = discordance_matrix(rankings)
     n = len(rankings)
     assert d.shape == (n, n) and d.dtype == np.int64
     assert np.array_equal(d, d.T)
@@ -148,7 +147,7 @@ def test_discordance_matrix_matches_naive(orders):
 def test_discordance_matrix_threads_match_serial(orders, extra):
     # rows split across threads give the serial integers, also with more
     # threads than rows
-    matrix = rank_matrix([_perm_ranking(o) for o in orders])
+    matrix = rank_matrix(orders)
     serial = discordance_matrix(matrix)
     for n_jobs in (2, 3, matrix.shape[0] + extra):
         assert np.array_equal(discordance_matrix(matrix, n_jobs=n_jobs), serial)
@@ -164,8 +163,8 @@ def test_fast_matches_naive_on_partial_property(pair):
 @settings(deadline=None, max_examples=40)
 @given(_permutation_sets(min_n=3))
 def test_discordance_matrix_triangle_inequality(orders):
-    rankings = [_perm_ranking(o) for o in orders]
-    d = discordance_matrix(rank_matrix(rankings))
+    rankings = rank_matrix(orders)
+    d = discordance_matrix(rankings)
     naive = np.array([[kendall_tau_naive(a, b) for b in rankings] for a in rankings])
     assert np.array_equal(d, naive)
     # d[i, j] <= d[i, k] + d[k, j] for every triple
@@ -177,28 +176,26 @@ def test_discordance_matrix_triangle_inequality(orders):
 def test_discordance_matrix_right_invariance(orders, data):
     # relabeling the alternatives (permuting columns) keeps every distance
     # (Diaconis & Graham 1977)
-    matrix = rank_matrix([_perm_ranking(o) for o in orders])
+    matrix = rank_matrix(orders)
     perm = data.draw(st.permutations(range(matrix.shape[1])))
     relabeled = matrix[:, perm]
     d = discordance_matrix(relabeled)
     assert np.array_equal(d, discordance_matrix(matrix))
-    rows = [Ranking.from_positions(row) for row in relabeled]
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        assert d[i, j] == kendall_tau_naive(rows[i], rows[j])
+    for i, j in itertools.combinations(range(len(relabeled)), 2):
+        assert d[i, j] == kendall_tau_naive(relabeled[i], relabeled[j])
 
 
 @settings(deadline=None, max_examples=40)
 @given(_permutation_sets())
 def test_discordance_matrix_reversal_identity(orders):
     # d(s, rev p) = C(m, 2) - d(s, p)
-    matrix = rank_matrix([_perm_ranking(o) for o in orders])
+    matrix = rank_matrix(orders)
     m = matrix.shape[1]
     both = np.vstack([matrix, m - 1 - matrix])
     d = discordance_matrix(both)
     n = matrix.shape[0]
     assert np.array_equal(d[:n, n:], m * (m - 1) // 2 - d[:n, :n])
-    rows = [Ranking.from_positions(row) for row in both]
-    assert d[0, n] == kendall_tau_naive(rows[0], rows[n]) == m * (m - 1) // 2
+    assert d[0, n] == kendall_tau_naive(both[0], both[n]) == m * (m - 1) // 2
 
 
 @st.composite
@@ -209,26 +206,24 @@ def _partial_matrices(draw):
     m = draw(st.integers(2, 30))
     sizes = draw(st.lists(st.integers(2, m), min_size=n, max_size=n))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = [Ranking.from_order(gen.permutation(m)[:s]) for s in sizes]
-    return rank_matrix(rows, m=m + draw(st.integers(0, 5)))
+    return rank_matrix([gen.permutation(m)[:s] for s in sizes], m=m + draw(st.integers(0, 5)))
 
 
 def _partial_features_per_pair(matrix, pairing_seed):
     """Reference: the per-pair enkt_feature loop, pairing consecutive shared
     alternatives in one seed-derived shuffle of the ids up to the highest one
     observed."""
-    rows = [Ranking.from_positions(row) for row in matrix]
-    width = 1 + max(int(r.observed[-1]) for r in rows)
+    width = 1 + int(np.flatnonzero((matrix >= 0).any(axis=0))[-1])
     perm = rng.substream(pairing_seed, rng.PAIRING).permutation(width)
     shuffle = np.empty(width, dtype=np.int64)
     shuffle[perm] = np.arange(width)
-    n = len(rows)
+    n = len(matrix)
     values = np.zeros((n, n))
     for i, j in itertools.combinations(range(n), 2):
-        shared = np.intersect1d(rows[i].observed, rows[j].observed, assume_unique=True)
+        shared = np.flatnonzero((matrix[i] >= 0) & (matrix[j] >= 0))
         ordered = shared[np.argsort(shuffle[shared], kind="stable")]
         pairing = ordered[: 2 * (ordered.size // 2)].reshape(-1, 2)
-        values[i, j] = values[j, i] = enkt_feature(rows[i], rows[j], pairing)
+        values[i, j] = values[j, i] = enkt_feature(matrix[i], matrix[j], pairing)
     return values
 
 
@@ -262,11 +257,8 @@ def _pair_sharing_last_column(draw):
     split = draw(st.integers(size, m))
     a = gen.permutation(ids[:split])  # ids[:size] are the shared alternatives
     b = gen.permutation(np.concatenate([ids[:size], ids[split:]]))
-    rows = [Ranking.from_order(gen.permutation(m)) for _ in range(n - 2)] + [
-        Ranking.from_order(a),
-        Ranking.from_order(b),
-    ]
-    return rank_matrix([rows[t] for t in gen.permutation(n)], m=m), pairing_seed
+    orders = [gen.permutation(m) for _ in range(n - 2)] + [a, b]
+    return rank_matrix([orders[t] for t in gen.permutation(n)], m=m), pairing_seed
 
 
 @settings(deadline=None, max_examples=80)
@@ -300,9 +292,8 @@ def test_kt_knn_matches_naive_neighbor_order(matrix, data):
     n = matrix.shape[0]
     q = data.draw(st.integers(0, n - 1))
     k = data.draw(st.integers(1, n - 1))
-    rows = [Ranking.from_positions(row) for row in matrix]
     try:
-        d = {j: kendall_tau_naive(rows[q], rows[j]) for j in range(n) if j != q}
+        d = {j: kendall_tau_naive(matrix[q], matrix[j]) for j in range(n) if j != q}
     except ValueError:  # the query shares fewer than 2 alternatives with someone
         with pytest.raises(ValueError, match="share fewer than 2"):
             kt_knn(matrix, q, k)
@@ -326,9 +317,8 @@ def _kernel_as(kernel):
 @given(_partial_matrices(), st.data())
 def test_discordances_match_naive_on_partial_rows(matrix, data):
     q = data.draw(st.integers(0, matrix.shape[0] - 1))
-    rankings = [Ranking.from_positions(row) for row in matrix]
     try:
-        expect = [kendall_tau_naive(rankings[q], r) for r in rankings]
+        expect = [kendall_tau_naive(matrix[q], r) for r in matrix]
     except ValueError:  # the row shares fewer than 2 alternatives with one of them
         expect = None
     compiled = plknn.kendall._resolve_kernel()
@@ -391,8 +381,7 @@ def test_discordance_matrix_threads_under_fast_switching():
 @settings(deadline=None, max_examples=40)
 @given(_permutation_sets(), _partial_pairs())
 def test_public_fallback_gives_identical_counts(orders, pair):
-    rankings = [_perm_ranking(o) for o in orders]
-    matrix = rank_matrix(rankings)
+    matrix = rank_matrix(orders)
     fast = discordance_matrix(matrix), kendall_tau(*pair)
     with _kernel_as(None):
         slow = discordance_matrix(matrix), kendall_tau(*pair)
@@ -404,7 +393,7 @@ def test_importing_plknn_loads_no_scipy():
     code = (
         "import sys, plknn\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "plknn.kendall_tau(plknn.Ranking.from_order([0, 1, 2]), plknn.Ranking.from_order([2, 1, 0]))\n"
+        "plknn.kendall_tau([0, 1, 2], [2, 1, 0])\n"
         "print('scipy.stats' in sys.modules)\n"
     )
     src = str(Path(plknn.__file__).resolve().parent.parent)
@@ -431,24 +420,54 @@ def test_nkt_random_rankings_concentrate_at_half():
 
 
 def test_enkt_feature_examples():
-    r1 = _perm_ranking(range(8))
+    r1 = _perm_row(range(8))
     pairing = make_pairing(np.arange(8), pairing_seed=5)
     assert enkt_feature(r1, r1, pairing) == 0.0
-    assert enkt_feature(r1, _perm_ranking(range(7, -1, -1)), pairing) == 1.0
-    values = enkt_feature(r1, _perm_ranking([1, 0, 2, 3, 5, 4, 7, 6]), pairing)
+    assert enkt_feature(r1, _perm_row(range(7, -1, -1)), pairing) == 1.0
+    values = enkt_feature(r1, _perm_row([1, 0, 2, 3, 5, 4, 7, 6]), pairing)
     assert 0.0 <= values <= 1.0
     assert values * pairing.shape[0] == pytest.approx(round(values * pairing.shape[0]))
 
 
 def test_enkt_feature_validation():
-    r1 = _perm_ranking(range(6))
-    r2 = _perm_ranking([5, 4, 3, 2, 1, 0])
+    r1 = _perm_row(range(6))
+    r2 = _perm_row([5, 4, 3, 2, 1, 0])
     with pytest.raises(ValueError):
         enkt_feature(r1, r2, [[0, 1], [1, 2]])  # overlapping
-    with pytest.raises(ValueError):
-        enkt_feature(r1, r2, [[0, 9]])  # unobserved
+    partial = rank_matrix([[0, 1, 2]], m=6)[0]
+    # unobserved, or not an alternative of the rows: -1 must not wrap to the last column
+    for other, pairing in ((r2, [[0, 9]]), (r2, [[-1, 0]]), (r2, [[0, 6]]), (partial, [[0, 3]])):
+        with pytest.raises(ValueError, match="not observed by both"):
+            enkt_feature(r1, other, pairing)
     with pytest.raises(ValueError):
         enkt_feature(r1, r2, np.empty((0, 2), dtype=int))
+
+
+_METRICS = {
+    "kendall_tau": kendall_tau,
+    "kendall_tau_naive": kendall_tau_naive,
+    "nkt": nkt,
+    "enkt_feature": lambda r1, r2: enkt_feature(r1, r2, [[0, 1]]),
+}
+_BAD_ROWS = {
+    "2-D": [[0, 1, 2, 3], [3, 2, 1, 0]],
+    "repeated position": [0, 0, 1, 2],
+    "gap": [0, 1, 3, -1],
+    "unequal length": [0, 1, 2],
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+@pytest.mark.parametrize("metric", list(_METRICS))
+def test_metrics_reject_malformed_rows(metric, bad):
+    good = [3, 1, 0, 2]
+    assert _METRICS[metric](good, good) == 0
+    for pair in ((_BAD_ROWS[bad], good), (good, _BAD_ROWS[bad])):
+        with pytest.raises(ValueError):
+            _METRICS[metric](*pair)
+    if bad != "unequal length":  # restrict_ranking reads one row
+        with pytest.raises(ValueError):
+            restrict_ranking(_BAD_ROWS[bad], [0, 1])
 
 
 def test_pairing_disjoint_and_drops_odd():
@@ -481,10 +500,10 @@ def test_feature_matrix_matches_enkt_feature():
     rankings = sample_rankings(pop, seed=13)
     feats = feature_matrix(rankings, pairing_seed=99)
     pairing = make_pairing(np.arange(20), pairing_seed=99)
-    rows = [Ranking.from_positions(row) for row in rankings]
     for i in range(5):
         for j in range(i + 1, 5):
-            assert feats.values[i, j] == pytest.approx(enkt_feature(rows[i], rows[j], pairing))
+            expect = enkt_feature(rankings[i], rankings[j], pairing)
+            assert feats.values[i, j] == pytest.approx(expect)
 
 
 def test_feature_matrix_partial_observation_paths():
@@ -495,14 +514,11 @@ def test_feature_matrix_partial_observation_paths():
     assert np.array_equal(feats.values, feats.values.T)
     assert np.all((feats.values >= 0) & (feats.values <= 1))
     # tiny intersections are an error
-    r_a = Ranking.from_order([0, 1])
-    r_b = Ranking.from_order([2, 3])
-    r_c = Ranking.from_order([0, 1, 2, 3])
     # one shared alternative forms no pair (once NaN features and a warning)
     with pytest.raises(ValueError, match="fewer than 2"):
-        feature_matrix(rank_matrix([Ranking.from_order([0])] * 4), pairing_seed=1)
+        feature_matrix(rank_matrix([[0]] * 4), pairing_seed=1)
     with pytest.raises(ValueError, match="agents 0 and 1 share fewer than 2"):
-        feature_matrix(rank_matrix([r_a, r_b, r_c]), pairing_seed=1)
+        feature_matrix(rank_matrix([[0, 1], [2, 3], [0, 1, 2, 3]]), pairing_seed=1)
 
 
 def test_agent_distance_properties():

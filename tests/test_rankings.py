@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from plknn import (
     ModelConfig,
     Population,
-    Ranking,
     exact_order_prob,
     pairwise_prob,
     rank_matrix,
@@ -21,21 +20,24 @@ from plknn import (
     write_rankings_csv,
 )
 from plknn import rng
-from plknn.rankings import _gumbel_keys, _row_orders, positions_matrix
+from plknn.rankings import _gumbel_keys, _order, _row_orders, positions_matrix
 
 from _harness import gumbel_orders, sequential_orders
 
 
-def test_ranking_construction_and_rank_of():
-    r = Ranking.from_order([4, 1, 7])
-    assert np.array_equal(r.observed, [1, 4, 7])
-    assert r.rank_of(4) == 1 and r.rank_of(1) == 2 and r.rank_of(7) == 3
-    with pytest.raises(KeyError):
-        r.rank_of(2)
-    with pytest.raises(ValueError):
-        Ranking.from_order([1, 1, 2])
-    with pytest.raises(ValueError):
-        Ranking.from_order([])
+def test_rank_matrix_construction():
+    r = rank_matrix([[4, 1, 7]])[0]
+    assert np.array_equal(np.flatnonzero(r >= 0), [1, 4, 7])
+    assert r[4] == 0 and r[1] == 1 and r[7] == 2
+    assert r[2] == -1
+    with pytest.raises(ValueError, match="order 1 repeats"):
+        rank_matrix([[0, 1], [1, 1, 2]])
+    for bad in ([], [0, -1], [[0, 1]]):
+        with pytest.raises(ValueError, match="order 1 must be a nonempty 1-D sequence"):
+            rank_matrix([[0, 1], bad])
+    # an id >= m is an error, not an IndexError
+    with pytest.raises(ValueError, match=r"alternative ids in \[0, 3\)"):
+        rank_matrix([[0, 5]], m=3)
 
 
 def test_exact_order_prob_examples():
@@ -70,7 +72,7 @@ def test_exact_order_prob_guard_and_validation():
 
 def test_single_alternative_ranking():
     r = sample_ranking(np.array([0.3]), np.array([[0.5]]), rng.substream(0, 9))
-    assert len(r) == 1 and r.order[0] == 0
+    assert r.dtype == np.int32 and r.tolist() == [0]
 
 
 def test_sampler_determinism_and_methods():
@@ -79,7 +81,7 @@ def test_sampler_determinism_and_methods():
     for method in ("gumbel", "sequential"):
         r1 = sample_ranking(x, ys, rng.substream(5, 1), method=method)
         r2 = sample_ranking(x, ys, rng.substream(5, 1), method=method)
-        assert r1 == r2
+        assert r1.dtype == np.int32 and np.array_equal(r1, r2)
     with pytest.raises(ValueError):
         sample_ranking(x, ys, rng.substream(5, 1), method="bogus")
 
@@ -127,18 +129,19 @@ def test_harness_bit_equal_to_sample_ranking():
         batch = harness(x, ys, gen1, 50)
         for t in range(50):
             r = sample_ranking(np.array([x]), ys[:, None], gen2, method=method)
-            assert np.array_equal(r.order, batch[t]), (method, t)
+            assert np.array_equal(_order(r), batch[t]), (method, t)
 
 
 def test_restrict_ranking_properties():
-    r = Ranking.from_order([5, 2, 8, 1, 9])
-    assert restrict_ranking(r, [1, 2, 5, 8, 9]) == r
+    r = rank_matrix([[5, 2, 8, 1, 9]])[0]
+    assert np.array_equal(restrict_ranking(r, [1, 2, 5, 8, 9]), r)
     single = restrict_ranking(r, [8])
-    assert len(single) == 1 and single.order[0] == 8
+    assert single.shape == r.shape and _order(single).tolist() == [8]
     sub = restrict_ranking(r, [2, 1, 9])
-    assert np.array_equal(sub.order, [2, 1, 9])
-    with pytest.raises(ValueError):
-        restrict_ranking(r, [2, 3])
+    assert np.array_equal(_order(sub), [2, 1, 9])
+    for subset in ([2, 3], [2, -1], [2, 10]):
+        with pytest.raises(ValueError, match="unobserved alternatives"):
+            restrict_ranking(r, subset)
 
 
 @settings(deadline=None, max_examples=60)
@@ -146,12 +149,12 @@ def test_restrict_ranking_properties():
 def test_restriction_commutes(data):
     m = data.draw(st.integers(3, 9))
     order = data.draw(st.permutations(list(range(m))))
-    r = Ranking.from_order(order)
+    r = rank_matrix([order])[0]
     a = data.draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=m))
     b = data.draw(st.sets(st.sampled_from(sorted(a)), min_size=1, max_size=len(a)))
     lhs = restrict_ranking(restrict_ranking(r, sorted(a)), sorted(b))
     rhs = restrict_ranking(r, sorted(b))
-    assert lhs == rhs
+    assert np.array_equal(lhs, rhs)
 
 
 @settings(deadline=None, max_examples=40)
@@ -159,11 +162,12 @@ def test_restriction_commutes(data):
 def test_restriction_preserves_relative_order(data):
     m = data.draw(st.integers(3, 8))
     order = data.draw(st.permutations(list(range(m))))
-    r = Ranking.from_order(order)
+    r = rank_matrix([order])[0]
     subset = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=m)))
     sub = restrict_ranking(r, subset)
+    assert np.array_equal(np.flatnonzero(sub >= 0), subset)
     for a, b in itertools.combinations(subset, 2):
-        assert (r.rank_of(a) < r.rank_of(b)) == (sub.rank_of(a) < sub.rank_of(b))
+        assert (r[a] < r[b]) == (sub[a] < sub[b])
 
 
 def test_sample_rankings_substreams_and_partial():
@@ -183,8 +187,7 @@ def test_sample_rankings_substreams_and_partial():
     assert np.all((partial >= 0).sum(axis=1) == 10)
     # partial rankings are restrictions of the full ones
     for row_full, row_part in zip(full, partial):
-        r_part = Ranking.from_positions(row_part)
-        assert restrict_ranking(Ranking.from_positions(row_full), r_part.observed) == r_part
+        assert np.array_equal(restrict_ranking(row_full, np.flatnonzero(row_part >= 0)), row_part)
     with pytest.raises(ValueError):
         sample_rankings(pop, seed=21, c_obs=0.5)
 
@@ -321,15 +324,32 @@ def test_sample_rankings_match_reference(data):
     assert np.array_equal(sample_rankings(pop, seed, c_obs=c_obs), expect)
 
 
-def test_ranking_row_view():
-    matrix = rank_matrix([Ranking.from_order([4, 1, 7]), Ranking.from_order([0, 2])], m=8)
+def test_order_reads_a_positions_row():
+    matrix = rank_matrix([[4, 1, 7], [0, 2]], m=8)
     assert matrix.dtype == np.int32
     assert np.array_equal(matrix[0], [-1, 1, -1, -1, 0, -1, -1, 2])
-    assert Ranking.from_positions(matrix[0]) == Ranking.from_order([4, 1, 7])
-    assert Ranking.from_positions(matrix[1]) == Ranking.from_order([0, 2])
-    for bad in ([0, 0, 1], [1, 2, -1], [-1, -1]):
+    assert _order(matrix[0]).tolist() == [4, 1, 7]
+    assert _order(matrix[1]).tolist() == [0, 2]
+    for bad in ([0, 0, 1], [1, 2, -1], [-1, -1], [[0, 1], [1, 0]]):
         with pytest.raises(ValueError):
-            Ranking.from_positions(bad)
+            _order(bad)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_order_inverts_rank_matrix(data):
+    # partial orders of mixed length, some ids never observed
+    m = data.draw(st.integers(1, 20))
+    orders = data.draw(
+        st.lists(
+            st.permutations(range(m)).flatmap(lambda p: st.integers(1, m).map(lambda s: p[:s])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    matrix = rank_matrix(orders, m=m)
+    for i, order in enumerate(orders):
+        assert _order(matrix[i]).tolist() == list(order)
 
 
 def test_rankings_csv_roundtrip(tmp_path):
@@ -343,7 +363,7 @@ def test_rankings_csv_roundtrip(tmp_path):
     assert loaded.dtype == np.int32 and np.array_equal(loaded, matrix)
     # one row per agent: agent id, alternative ids best-first
     lines = path.read_text().splitlines()
-    assert lines[1] == "0," + ",".join(map(str, Ranking.from_positions(matrix[0]).order))
+    assert lines[1] == "0," + ",".join(map(str, _order(matrix[0])))
 
 
 @pytest.mark.parametrize(
