@@ -213,9 +213,9 @@ def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> 
         or ids.max() >= n
     ):
         raise ValueError(f"neighbor ids must be agent indices in [0, {n}), got {list(members)!r}")
-    members = ids.astype(np.int64)
-    pos_a = matrix[np.ix_(members, pair_sample[:, 0])]
-    pos_b = matrix[np.ix_(members, pair_sample[:, 1])]
+    sub = matrix[ids.astype(np.int64)]  # the members' rows, gathered once
+    pos_a = np.take(sub, pair_sample[:, 0], axis=1)
+    pos_b = np.take(sub, pair_sample[:, 1], axis=1)
     usable = (pos_a >= 0) & (pos_b >= 0)
     counts = usable.sum(axis=0)
     if np.any(counts == 0):

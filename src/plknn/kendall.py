@@ -6,9 +6,13 @@ The pairwise metrics (``kendall_tau``, ``kendall_tau_naive``, ``nkt``,
 ``sample_rankings`` returns, and compare the alternatives both observe.
 
 Every exact distance is an integer discordant-pair count made by one routine,
-``_discordances(row, rows)``: it argsorts one positions row once, gathers each
-other row's positions in that order, shifted by one, drops the alternatives
-that row leaves unobserved (-1, now 0) and counts what is left with
+``_discordances(row, rows)``: it argsorts one positions row once and reads the
+other rows in the row blocks of ``rankings._row_blocks``. Per block it
+gathers their positions in that order in one intp array, shifted by one, of
+at most max(2^16, s) entries for a row observing s alternatives, so memory
+stays fixed at any number of rows. A block in which some row leaves one of
+those alternatives unobserved (-1, now 0) is compacted to its nonzero
+entries; a block without a 0 is not. Each row is then counted with
 ``_count_inversions``. ``kendall_tau``, ``nkt``, ``agents.kt_knn`` and
 ``discordance_matrix`` all call it. The count runs scipy's private compiled
 merge-sort/Fenwick kernel (``scipy.stats._stats._kendall_dis``; Knight 1966,
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .rankings import _order
+from .rankings import _order, _row_blocks
 
 _UNRESOLVED = object()
 # scipy's compiled kernel once resolved; None selects the public statistic
@@ -89,17 +93,39 @@ def nkt(r1, r2) -> float:
 def _discordances(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Exact Kendall-tau distance (int64) from one positions row to each row
     of the 2-D ``rows``, counted over the alternatives both observe (-1 marks
-    unobserved). Fewer than 2 shared alternatives raise ``ValueError``."""
+    unobserved). Fewer than 2 shared alternatives raise ``ValueError``.
+
+    ``rows`` is read in blocks from ``rankings._row_blocks``: each block's
+    positions at ``row``'s s observed alternatives, in ``row``'s order, are
+    gathered at once into one intp array of at most max(_BLOCK, s) entries
+    and shifted by one in place, so 0 marks an unobserved entry. A block
+    without a 0 passes its rows to the kernel as they are. Otherwise the
+    nonzero entries are compacted row-major into one flat array, and each
+    row's slice of it is counted, so the kernel never sees a 0."""
     order = np.argsort(row)[np.count_nonzero(row < 0) :]  # row's observed alternatives, best first
-    x = np.arange(1, order.size + 1, dtype=np.intp)
+    s = order.size
+    x = np.arange(1, s + 1, dtype=np.intp)
     out = np.empty(len(rows), dtype=np.int64)
-    for t, other in enumerate(rows):
-        y = other[order] + 1  # in row's order, shifted by one: 0 is unobserved
-        if np.count_nonzero(y) < y.size:
-            y = y[y > 0]  # the kernel never returns on a 0
-        if y.size < 2:
+    for block in _row_blocks(len(rows), s):
+        ys = np.take(rows[block], order, axis=1).astype(np.intp, copy=False)
+        ys += 1  # in row's order, shifted by one: 0 is unobserved
+        if np.count_nonzero(ys) == ys.size:
+            if s < 2:
+                raise ValueError("rankings share fewer than 2 alternatives")
+            for t, y in enumerate(ys, block.start):
+                out[t] = _count_inversions(x, y)
+            continue
+        seen = ys > 0
+        counts = np.count_nonzero(seen, axis=1)
+        if counts.min() < 2:
             raise ValueError("rankings share fewer than 2 alternatives")
-        out[t] = _count_inversions(x[: y.size], y)
+        # ys[seen], row-major, so each row's shared entries are consecutive;
+        # compress is several times faster than a 2-D boolean index
+        flat = np.compress(seen.ravel(), ys)
+        end = 0
+        for t, k in enumerate(counts.tolist(), block.start):
+            out[t] = _count_inversions(x[:k], flat[end : end + k])
+            end += k
     return out
 
 

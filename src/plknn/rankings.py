@@ -27,17 +27,29 @@ _BLOCK = 2**16  # entries per row block: a block's temporaries fit in a core's L
 
 
 def _row_blocks(n: int, m: int):
-    """Row slices of an (n, m) matrix, max(1, _BLOCK // m) rows each, the last ragged."""
-    rows = max(1, _BLOCK // m)
+    """Row slices of an (n, m) matrix, max(1, _BLOCK // m) rows each (all n
+    in one block when m is 0), the last ragged."""
+    rows = max(1, _BLOCK // max(m, 1))
     for start in range(0, n, rows):
         yield slice(start, min(start + rows, n))
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array; a nonempty one whose dtype is not an integer
+    kind (bool, float, object) raises ``ValueError`` instead of being
+    truncated or read as 0/1."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, got dtype {values.dtype}")
+    return values
+
+
 def _order(row) -> np.ndarray:
     """Best-first alternative ids of one positions row (0-based positions, -1
-    unobserved). A row that is not 1-D, observes nothing, or whose observed
-    positions are not 0..s-1 each once raises ``ValueError``."""
-    row = np.asarray(row)
+    unobserved). A row that is not 1-D or of an integer dtype, observes
+    nothing, or whose observed positions are not 0..s-1 each once raises
+    ``ValueError``."""
+    row = _integers(row, "a positions row")
     if row.ndim != 1:
         raise ValueError(f"a positions row must be 1-D, got shape {row.shape}")
     observed = np.flatnonzero(row >= 0)
@@ -161,7 +173,7 @@ def exact_order_prob(x, alternatives, order) -> float:
     m = u.size
     if m > _MAX_EXACT_M:
         raise ValueError(f"exact order probabilities are limited to m <= {_MAX_EXACT_M}")
-    order = np.asarray(order, dtype=np.int64)
+    order = _integers(order, "order").astype(np.int64)
     if sorted(order.tolist()) != list(range(m)):
         raise ValueError("order must be a permutation of range(m)")
     chosen = u[order]
@@ -173,7 +185,7 @@ def restrict_ranking(row, subset) -> np.ndarray:
     """Positions row of the induced order on ``subset``: relative order is
     preserved, positions are renumbered 0..|subset|-1, the rest read -1."""
     order = _order(row)
-    subset = np.asarray(sorted(int(j) for j in set(np.asarray(subset).tolist())), dtype=np.int64)
+    subset = np.unique(_integers(list(subset), "subset")).astype(np.int64)
     if subset.size == 0:
         raise ValueError("subset must be nonempty")
     missing = np.setdiff1d(subset, order)
@@ -186,8 +198,8 @@ def rank_matrix(orders, m: int | None = None) -> np.ndarray:
     """(n, m) int32 matrix of 0-based positions from best-first sequences of
     alternative ids; -1 marks unobserved alternatives. ``m`` defaults to one
     past the highest id. An empty order, or a repeated id or one outside
-    [0, m), raises ``ValueError``."""
-    orders = [np.asarray(order, dtype=np.int64) for order in orders]
+    [0, m), or one that is not an integer, raises ``ValueError``."""
+    orders = [_integers(order, f"order {i}").astype(np.int64) for i, order in enumerate(orders)]
     if m is None:
         m = 1 + max((int(order.max(initial=-1)) for order in orders), default=-1)
     out = np.full((len(orders), m), -1, dtype=np.int32)

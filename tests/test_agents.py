@@ -200,6 +200,27 @@ def test_neighbor_ids_are_range_checked():
     assert vote_probabilities(matrix, (0, 1), pairs)[0] == 0.5
 
 
+def test_vote_probabilities_equal_a_per_member_loop():
+    # partial rankings, members drawn with repeats: a repeated member votes
+    # once per occurrence
+    pop = sample_population(ModelConfig(n_agents=30, n_alternatives=40, dim=1, box=5.0, seed=8))
+    matrix = sample_rankings(pop, seed=8, c_obs=1.25)
+    gen = np.random.default_rng(8)
+    members = gen.integers(0, 30, size=25)
+    assert len(set(members.tolist())) < members.size
+    pairs = sample_pairs(40, 60, gen)
+    prefer, usable = np.zeros(len(pairs)), np.zeros(len(pairs))
+    for j in members:
+        for t, (a, b) in enumerate(pairs):
+            if matrix[j, a] >= 0 and matrix[j, b] >= 0:
+                usable[t] += 1
+                prefer[t] += matrix[j, a] < matrix[j, b]
+    assert usable.min() > 0
+    assert vote_probabilities(matrix, members, pairs).tolist() == (prefer / usable).tolist()
+    with pytest.raises(ValueError, match="no neighbor ranks both"):
+        vote_probabilities(matrix, [], pairs)
+
+
 def test_prediction_consistency_with_truth():
     cfg = ModelConfig(n_agents=400, n_alternatives=800, dim=1, box=5.0, seed=3)
     pop = sample_population(cfg)

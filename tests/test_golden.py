@@ -1,8 +1,12 @@
-"""Golden sha256 digests of the bytes plknn writes: the three figure reports
-and the rankings CSV. Every output is byte-reproducible by contract, so a
-refactor or a faster path must leave these digests unchanged."""
+"""Golden sha256 digests of the bytes plknn writes and of the arrays its
+library returns: the three figure reports, the rankings CSV, the exact and
+pair-sampled Kendall-tau arrays, both positions samplers, one planted
+alternative-neighbor query and three verify reports. Every output is
+byte-reproducible by contract, so a refactor or a faster path must leave
+these digests unchanged."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -11,14 +15,25 @@ import scipy
 from plknn import (
     ExperimentConfig,
     ModelConfig,
+    Population,
+    candidate_set,
+    discordance_matrix,
+    feature_matrix,
     run_dim_sweep,
     run_error_vs_k,
     run_error_vs_position,
     sample_population,
     sample_rankings,
+    split_cluster,
+    verify_example_one,
+    verify_theorem_bias,
     write_report_csv,
     write_rankings_csv,
 )
+from plknn import rng
+from plknn.kendall import _discordances
+from plknn.rankings import _row_blocks, positions_matrix
+from plknn.theory import item_bound_check
 
 MODEL = ModelConfig(n_agents=60, n_alternatives=200, dim=1, box=5.0, seed=0)
 CONFIG = ExperimentConfig(
@@ -45,8 +60,28 @@ RANKINGS_DIGESTS = {
 }
 
 
-def _assert_digest(path, expected, artifact):
-    got = hashlib.sha256(path.read_bytes()).hexdigest()
+ARRAY_DIGESTS = {
+    "knn-partial discordances": "b4f40d1dd7438d38e3b89fffcdca74b00999584b028d263b8c8cc8e36ed1ffd3",
+    "discordance_matrix": "10363cb76f09b4d86d152d6ae72deec5e72297a0982ecfaa48e4bd36d1fdabdb",
+    "feature_matrix": "f4f35268d5cefb1f38f813cd75af71f4b872a0cb7a7dfad8b64fd8d7b53fb298",
+    "positions_matrix per_agent": "4b471c2a6d2c05f659a7aee682aa949781c8b378331bd9c79f203b845ba880e9",
+    "positions_matrix batched": "75965ae351268e66de90cf80e1cda995f56bf068bc9f552265c2a1bc0ea395f0",
+    "alternative neighbors": "552d06d2e0e31794d8ab29273a9b4f4b476fde18dd3ad0147982771b169ead06",
+}
+VERIFY_DIGESTS = {
+    "theorem-bias": "cf980ae110bd878bf2acc37f0a23ed6a946f45c9c3033ee7568976f1b05f7b85",
+    "example-1": "9e0eb30734a8b3f8adb2fa730cefbe5fcfc627b99dd106cc9180e04e0ad6bbbf",
+    "item-bounds": "b178ae66bd58bb232e37ca54a2ad625bdef1f3467fd646a466782d85c2498326",
+}
+VERIFY_RUNNERS = {
+    "theorem-bias": verify_theorem_bias,
+    "example-1": verify_example_one,
+    "item-bounds": item_bound_check,
+}
+
+
+def _assert_bytes(data, expected, artifact):
+    got = hashlib.sha256(data).hexdigest()
     assert got == expected, (
         f"{artifact}: sha256 {got} != {expected} "
         f"(numpy {np.__version__}, scipy {scipy.__version__})"
@@ -58,11 +93,64 @@ def _assert_digest(path, expected, artifact):
 def test_report_bytes_pinned(tmp_path, figure, n_jobs):
     path = tmp_path / f"{figure}.csv"
     write_report_csv(RUNNERS[figure](CONFIG, n_jobs=n_jobs), path)
-    _assert_digest(path, REPORT_DIGESTS[figure], f"{figure} report, n_jobs={n_jobs}")
+    artifact = f"{figure} report, n_jobs={n_jobs}"
+    _assert_bytes(path.read_bytes(), REPORT_DIGESTS[figure], artifact)
 
 
 @pytest.mark.parametrize("c_obs", list(RANKINGS_DIGESTS))
 def test_rankings_csv_bytes_pinned(tmp_path, c_obs):
     path = tmp_path / "rankings.csv"
     write_rankings_csv(sample_rankings(sample_population(MODEL), seed=0, c_obs=c_obs), path, seed=0)
-    _assert_digest(path, RANKINGS_DIGESTS[c_obs], f"rankings CSV, c_obs={c_obs}")
+    _assert_bytes(path.read_bytes(), RANKINGS_DIGESTS[c_obs], f"rankings CSV, c_obs={c_obs}")
+
+
+def test_kendall_arrays_pinned():
+    # the knn-partial benchmark's rankings (n=120, m=500, c_obs 2, seed 0):
+    # every query's exact distances to all agents, stacked
+    partial = sample_rankings(
+        sample_population(ModelConfig(n_agents=120, n_alternatives=500, dim=1, box=5.0, seed=0)),
+        seed=0,
+        c_obs=2.0,
+    )
+    stacked = np.stack([_discordances(partial[q], partial) for q in range(len(partial))])
+    assert stacked.dtype == np.int64
+    artifact = "knn-partial discordances"
+    _assert_bytes(stacked.tobytes(), ARRAY_DIGESTS[artifact], artifact)
+    full = sample_rankings(sample_population(MODEL), seed=0)
+    _assert_bytes(
+        discordance_matrix(full).tobytes(), ARRAY_DIGESTS["discordance_matrix"], "discordance_matrix"
+    )
+    features = feature_matrix(full, pairing_seed=0)
+    assert features.n_pairs == 100
+    _assert_bytes(features.values.tobytes(), ARRAY_DIGESTS["feature_matrix"], "feature_matrix")
+
+
+@pytest.mark.parametrize("stream", ["per_agent", "batched"])
+def test_positions_matrix_pinned(stream):
+    pop = sample_population(ModelConfig(n_agents=1500, n_alternatives=50, dim=1, box=5.0, seed=0))
+    assert len(list(_row_blocks(1500, 50))) == 2  # the rows cross a block boundary
+    artifact = f"positions_matrix {stream}"
+    matrix = positions_matrix(pop, seed=0, stream=stream)
+    _assert_bytes(matrix.tobytes(), ARRAY_DIGESTS[artifact], artifact)
+
+
+def test_alternative_neighbors_pinned():
+    # the planted world of the alternatives tests, in which the threshold
+    # drops the midpoint cluster and the split drops the mirror one
+    gen = rng.substream(31, rng.TRIAL, 0)
+    near = 0.2 + np.linspace(-0.01, 0.01, 10)
+    mirror = 0.8 + np.linspace(-0.01, 0.01, 10)
+    middle = np.linspace(0.4, 0.6, 10)
+    alts = 5.0 * np.concatenate([[0.2], near, mirror, middle, gen.random(19)])[:, None]
+    pop = Population(agents=5.0 * gen.random(20_000)[:, None], alternatives=alts)
+    matrix = positions_matrix(pop, seed=31, stream="batched")
+    candidates = candidate_set(matrix, 0, ell=12)
+    kept = sorted(split_cluster(matrix, 0, candidates))
+    text = json.dumps({"candidates": list(candidates.members), "kept": kept})
+    _assert_bytes(text.encode(), ARRAY_DIGESTS["alternative neighbors"], "alternative neighbors")
+
+
+@pytest.mark.parametrize("target", list(VERIFY_DIGESTS))
+def test_verify_report_pinned(target):
+    text = json.dumps(VERIFY_RUNNERS[target]().to_dict(), indent=2)
+    _assert_bytes(text.encode(), VERIFY_DIGESTS[target], f"{target} verify report")

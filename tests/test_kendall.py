@@ -317,6 +317,8 @@ def _kernel_as(kernel):
 @given(_partial_matrices(), st.data())
 def test_discordances_match_naive_on_partial_rows(matrix, data):
     q = data.draw(st.integers(0, matrix.shape[0] - 1))
+    # a block of a few entries spreads the rows over several row blocks
+    block = data.draw(st.sampled_from([None, 1, 2 * matrix.shape[1], 5 * matrix.shape[1]]))
     try:
         expect = [kendall_tau_naive(matrix[q], r) for r in matrix]
     except ValueError:  # the row shares fewer than 2 alternatives with one of them
@@ -329,13 +331,55 @@ def test_discordances_match_naive_on_partial_rows(matrix, data):
         return compiled(x, y)
 
     for kernel in (None, guarded if compiled is not None else None):  # None: public statistic
-        with _kernel_as(kernel):
+        with _kernel_as(kernel), pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr("plknn.rankings._BLOCK", block)
             if expect is None:
                 with pytest.raises(ValueError, match="share fewer than 2"):
                     _discordances(matrix[q], matrix)
             else:
                 got = _discordances(matrix[q], matrix)
                 assert got.dtype == np.int64 and got.tolist() == expect
+
+
+def _naive_rows(matrix, q):
+    return [kendall_tau_naive(matrix[q], r) for r in matrix]
+
+
+@pytest.mark.parametrize("smallest", [12, 6])  # 12: every row full
+def test_discordances_across_row_blocks(monkeypatch, smallest):
+    gen = np.random.default_rng(smallest)
+    orders = [gen.permutation(12)[: gen.integers(smallest, 13)] for _ in range(9)]
+    matrix = rank_matrix(orders, m=12)
+    monkeypatch.setattr("plknn.rankings._BLOCK", 25)  # a few rows per block, the last ragged
+    for q in range(len(matrix)):
+        assert _discordances(matrix[q], matrix).tolist() == _naive_rows(matrix, q)
+
+
+def test_discordances_mixed_full_and_partial_blocks(monkeypatch):
+    # the query observes 0..5; with 2 rows per block, blocks 0 and 1 hold
+    # rows that observe all of those (no 0 after the shift), block 2 mixes
+    # one such row with one that misses some, and both rows of block 3 miss some
+    gen = np.random.default_rng(6)
+    full = [gen.permutation(8) for _ in range(4)]
+    partial = [np.array([5, 1, 3, 7]), np.array([2, 6, 0, 4, 1]), np.array([3, 0, 5])]
+    rows = [[4, 0, 2, 1, 5, 3], full[0], full[1], full[2], partial[0], full[3]]
+    matrix = rank_matrix(rows + partial[1:], m=8)
+    monkeypatch.setattr("plknn.rankings._BLOCK", 12)
+    assert _discordances(matrix[0], matrix).tolist() == _naive_rows(matrix, 0)
+
+
+def test_discordances_too_few_shared_in_a_later_block(monkeypatch):
+    gen = np.random.default_rng(7)
+    rows = [gen.permutation(10) for _ in range(6)] + [[9, 4, 7], [3]]
+    matrix = rank_matrix(rows, m=10)
+    monkeypatch.setattr("plknn.rankings._BLOCK", 20)  # 2 rows per block: row 7 is in the last
+    assert _discordances(matrix[0], matrix[:7]).tolist() == _naive_rows(matrix[:7], 0)
+    with pytest.raises(ValueError, match="share fewer than 2"):
+        _discordances(matrix[0], matrix)
+    # a row that observes nothing shares nothing with any row
+    with pytest.raises(ValueError, match="share fewer than 2"):
+        _discordances(np.full(10, -1), matrix)
 
 
 def test_discordance_matrix_rejects_unobserved_without_hanging():
@@ -468,6 +512,17 @@ def test_metrics_reject_malformed_rows(metric, bad):
     if bad != "unequal length":  # restrict_ranking reads one row
         with pytest.raises(ValueError):
             restrict_ranking(_BAD_ROWS[bad], [0, 1])
+
+
+def test_metrics_reject_a_bool_row():
+    # a bool row would read as positions 1 and 0
+    with pytest.raises(ValueError, match="must hold integers"):
+        kendall_tau([True, False], [0, 1])
+
+
+def test_metrics_reject_a_float_row():
+    with pytest.raises(ValueError, match="must hold integers"):
+        kendall_tau([0.0, 1.0], [0, 1])
 
 
 def test_pairing_disjoint_and_drops_odd():

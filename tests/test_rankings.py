@@ -40,6 +40,18 @@ def test_rank_matrix_construction():
         rank_matrix([[0, 5]], m=3)
 
 
+def test_rank_matrix_rejects_non_integer_ids():
+    # 0.7 and 1.2 would truncate to the order (0, 1)
+    with pytest.raises(ValueError, match="order 0 must hold integers"):
+        rank_matrix([[0.7, 1.2]])
+
+
+def test_exact_order_prob_rejects_non_integer_ids():
+    ys = np.array([[0.1], [0.5], [0.9]])
+    with pytest.raises(ValueError, match="order must hold integers"):
+        exact_order_prob(np.array([0.0]), ys, [0.7, 1.2, 2.9])
+
+
 def test_exact_order_prob_examples():
     x = np.array([0.0])
     ys = np.array([[0.1], [0.5], [0.9]])
@@ -142,6 +154,9 @@ def test_restrict_ranking_properties():
     for subset in ([2, 3], [2, -1], [2, 10]):
         with pytest.raises(ValueError, match="unobserved alternatives"):
             restrict_ranking(r, subset)
+    assert np.array_equal(restrict_ranking(r, {9, 2}), restrict_ranking(r, [2, 9]))
+    with pytest.raises(ValueError, match="subset must hold integers"):
+        restrict_ranking(r, [2.5, 9])  # not truncated to {2, 9}
 
 
 @settings(deadline=None, max_examples=60)
