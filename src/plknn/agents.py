@@ -17,6 +17,7 @@ import numpy as np
 
 from .kendall import FeatureMatrix, _discordances, agent_distances_from
 from .latent import Population, pairwise_prob
+from .rankings import _id, _ids, _integers, _matrix
 
 METHODS = ("kt_knn", "global_knn", "oracle")
 
@@ -37,7 +38,7 @@ class NeighborSet:
     selector: tuple[str, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(j) for j in self.members))
+        object.__setattr__(self, "members", tuple(_integers(self.members, "members", 1).tolist()))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.query in self.members:
@@ -53,12 +54,11 @@ class NeighborSet:
         }
 
 
-def _check_query(n: int, query, k=None, eps=None) -> None:
-    """Reject a query outside [0, n) and a selector out of range: an eps that
-    is not a finite number >= 0 or, when no eps is given, a k that is not an
-    integer in [1, n - 1]."""
-    if not isinstance(query, Integral) or isinstance(query, bool) or not 0 <= query < n:
-        raise ValueError(f"query must be an agent index in [0, {n}), got {query!r}")
+def _check_query(n: int, query, k=None, eps=None) -> int:
+    """The query as an int; reject a query that is not an agent index in
+    [0, n) and a selector out of range: an eps that is not a finite number
+    >= 0 or, when no eps is given, a k that is not an integer in [1, n - 1]."""
+    query = _id(query, n, "query agent index")
     if eps is not None:
         if isinstance(eps, bool) or not isinstance(eps, Real) or not math.isfinite(eps) or eps < 0:
             raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
@@ -66,6 +66,7 @@ def _check_query(n: int, query, k=None, eps=None) -> None:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     elif k > n - 1:
         raise ValueError(f"k must be at most n - 1 = {n - 1}, got {k!r}")
+    return query
 
 
 def neighbor_order(distances: np.ndarray, query: int, count: int) -> np.ndarray:
@@ -92,11 +93,11 @@ def oracle_distances(population: Population, query: int) -> np.ndarray:
 def kt_knn(matrix: np.ndarray, query: int, k: int) -> NeighborSet:
     """The k agents whose rankings (positions matrix rows) are closest to the
     query's in raw Kendall-tau distance, ties broken by ascending agent index."""
-    n = matrix.shape[0]
-    _check_query(n, query, k=k)
+    matrix = _matrix(matrix)
+    query = _check_query(matrix.shape[0], query, k=k)
     distances = _discordances(matrix[query], matrix).astype(float)
     distances[query] = np.inf
-    return NeighborSet(int(query), neighbor_order(distances, query, k), "kt_knn", ("top_k", k))
+    return NeighborSet(query, neighbor_order(distances, query, k), "kt_knn", ("top_k", k))
 
 
 def global_knn(
@@ -115,19 +116,19 @@ def global_knn(
         raise ValueError("specify exactly one of k or eps")
     if features.n_agents < 3:
         raise ValueError("need at least 3 agents")
-    _check_query(features.n_agents, query, k=k, eps=eps)
+    query = _check_query(features.n_agents, query, k=k, eps=eps)
     distances = global_distances(features, query)
     if eps is not None:
         members = np.flatnonzero(distances <= eps)
-        return NeighborSet(int(query), members, "global_knn", ("threshold", float(eps)))
-    return NeighborSet(int(query), neighbor_order(distances, query, k), "global_knn", ("top_k", k))
+        return NeighborSet(query, members, "global_knn", ("threshold", float(eps)))
+    return NeighborSet(query, neighbor_order(distances, query, k), "global_knn", ("top_k", k))
 
 
 def oracle_knn(population: Population, query: int, k: int) -> NeighborSet:
     """The k agents truly closest to the query in latent space."""
-    _check_query(population.n_agents, query, k=k)
+    query = _check_query(population.n_agents, query, k=k)
     distances = oracle_distances(population, query)
-    return NeighborSet(int(query), neighbor_order(distances, query, k), "oracle", ("top_k", k))
+    return NeighborSet(query, neighbor_order(distances, query, k), "oracle", ("top_k", k))
 
 
 def predict_pair(neighbors: NeighborSet, matrix: np.ndarray, a: int, b: int) -> float:
@@ -136,21 +137,19 @@ def predict_pair(neighbors: NeighborSet, matrix: np.ndarray, a: int, b: int) -> 
     Neighbors that do not observe both alternatives are skipped; at least one
     usable neighbor is required.
     """
-    if any(not isinstance(j, Integral) or isinstance(j, bool) for j in (a, b)):
-        raise ValueError(f"alternatives must be integer ids, got {a!r} and {b!r}")
-    pairs = _check_pairs([[a, b]], matrix.shape[1])
+    pairs = _check_pairs([[a, b]], _matrix(matrix).shape[1])
     return float(vote_probabilities(matrix, neighbors.members, pairs)[0])
 
 
 def _check_pairs(pair_sample, m: int) -> np.ndarray:
-    """``pair_sample`` as an array; anything but a nonempty (k, 2) integer
+    """``pair_sample`` as an int64 array; anything but a nonempty (k, 2)
     array of alternative ids in [0, m) with a != b in every row raises
     ``ValueError``."""
-    pairs = np.asarray(pair_sample)
-    if (
-        pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size == 0 or pairs.dtype.kind not in "iu"
-        or pairs.min() < 0 or pairs.max() >= m or np.any(pairs[:, 0] == pairs[:, 1])
-    ):
+    try:
+        pairs = _ids(pair_sample, m, "pairs")
+    except ValueError:  # reported below, with the shape faults, in one message
+        pairs = np.empty((0, 2), dtype=np.int64)
+    if pairs.shape[1:] != (2,) or not pairs.size or np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError(f"pairs must be a nonempty (k, 2) integer array of ids in [0, {m}), a != b")
     return pairs
 
@@ -177,7 +176,7 @@ def prediction_error(
 ) -> float:
     """Mean absolute deviation between the neighbor vote and the ground-truth
     pairwise probability over the sampled alternative pairs."""
-    pair_sample = _check_pairs(pair_sample, matrix.shape[1])
+    pair_sample = _check_pairs(pair_sample, _matrix(matrix).shape[1])
     if method == "kt_knn":
         neighbors = kt_knn(matrix, query, k)
     elif method == "global_knn":
@@ -204,16 +203,7 @@ def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> 
     """Per-pair fraction of usable members ranking a above b (vectorized).
 
     A member that is not an agent index in [0, n) raises ``ValueError``."""
-    n = matrix.shape[0]
-    ids = np.asarray(members)
-    if ids.size and (
-        ids.dtype.kind not in "iu"
-        or any(isinstance(j, (bool, np.bool_)) for j in members)  # [0, True] casts to ints
-        or ids.min() < 0
-        or ids.max() >= n
-    ):
-        raise ValueError(f"neighbor ids must be agent indices in [0, {n}), got {list(members)!r}")
-    sub = matrix[ids.astype(np.int64)]  # the members' rows, gathered once
+    sub = _matrix(matrix)[_ids(members, len(matrix), "neighbor agent indices")]  # gathered once
     pos_a = np.take(sub, pair_sample[:, 0], axis=1)
     pos_b = np.take(sub, pair_sample[:, 1], axis=1)
     usable = (pos_a >= 0) & (pos_b >= 0)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .rankings import _row_blocks
+from .rankings import _id, _ids, _matrix, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,6 @@ class HalfStat:
             raise ValueError("half statistic must lie in [0, 1]")
 
 
-def _check_alternatives(matrix: np.ndarray, *alternatives) -> None:
-    """Reject a matrix that is not 2-D, or an alternative that is not an integer in [0, m)."""
-    if np.ndim(matrix) != 2:
-        raise ValueError("positions matrix must be 2-D")
-    m = np.shape(matrix)[1]
-    for a in alternatives:
-        if not isinstance(a, Integral) or isinstance(a, bool) or not 0 <= a < m:
-            raise ValueError(f"alternative index must be an integer in [0, {m}), got {a!r}")
-
-
 def sign_distance(matrix: np.ndarray, a: int, b: int) -> float:
     """Absolute mean of the per-agent preference sign between two alternatives.
 
@@ -66,7 +56,8 @@ def sign_distance(matrix: np.ndarray, a: int, b: int) -> float:
     otherwise, so exchangeable alternatives give mean 0. Agents that do not
     rank both are skipped; at least one must rank both.
     """
-    _check_alternatives(matrix, a, b)
+    matrix = _matrix(matrix)
+    a, b = (_id(x, matrix.shape[1], "alternative index") for x in (a, b))
     if a == b:
         raise ValueError("sign distance of an alternative against itself is undefined")
     value = float(_sign_distance_columns(matrix, a)[b])
@@ -97,13 +88,14 @@ def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
 
 def candidate_set(matrix: np.ndarray, a: int, ell: float) -> CandidateSet:
     """All alternatives whose sign distance to ``a`` is at most 1/ell."""
-    _check_alternatives(matrix, a)
+    matrix = _matrix(matrix)
+    a = _id(a, matrix.shape[1], "alternative index")
     if isinstance(ell, bool) or not isinstance(ell, Real) or not math.isfinite(ell) or ell < 1:
         raise ValueError(f"ell must be a finite real number >= 1, got {ell!r}")
     distances = _sign_distance_columns(matrix, a)
     # NaN entries (the query itself, pairs no agent ranks) compare False
     members = [a, *np.flatnonzero(distances <= 1.0 / ell).tolist()]
-    return CandidateSet(query=int(a), members=tuple(sorted(members)), ell=float(ell))
+    return CandidateSet(query=a, members=tuple(sorted(members)), ell=float(ell))
 
 
 def _half_boundaries(matrix: np.ndarray) -> np.ndarray:
@@ -146,7 +138,8 @@ def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
 
 def half_stat(matrix: np.ndarray, a: int, b: int) -> HalfStat:
     """Fraction of co-ranking agents placing ``a`` and ``b`` in the same half."""
-    _check_alternatives(matrix, a, b)
+    matrix = _matrix(matrix)
+    a, b = (_id(x, matrix.shape[1], "alternative index") for x in (a, b))
     return HalfStat(value=float(_half_stats(matrix, a, [b])[0]))
 
 
@@ -203,8 +196,9 @@ def split_step(matrix: np.ndarray, a: int, candidates: CandidateSet) -> SplitSte
     sits near the box midpoint and no filtering is needed - so the whole
     candidate set is kept.
     """
-    members = [int(b) for b in candidates.members]  # never empty: it holds its query
-    _check_alternatives(matrix, a, *members)
+    matrix = _matrix(matrix)
+    a = _id(a, matrix.shape[1], "alternative index")
+    members = _ids(candidates.members, matrix.shape[1], "alternative index").tolist()
     # the query itself is always kept; its degenerate self-statistic (1.0)
     # must not take part in the clustering
     others = [b for b in members if b != a]

@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="fixed k for fig1b")
-    p.add_argument("--jobs", type=int, default=None, help="query worker threads")
+    jobs_help = "query worker threads; with more than one, set OPENBLAS_NUM_THREADS=1"
+    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -311,7 +311,9 @@ def _summary_row(
 
 def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> ExperimentReport:
     """Error and neighbor-distance summary per (method, k, seed); every agent
-    serves once as the query and errors are averaged over queries."""
+    serves once as the query and errors are averaged over queries. Each of the
+    ``n_jobs`` query threads' vote products starts OpenBLAS threads of its
+    own, so with ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1``."""
     cfg.validate()
     rows = [
         _summary_row(per_query, method, k, dim, seed)
@@ -327,7 +329,8 @@ def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experime
 def run_error_vs_position(
     cfg: ExperimentConfig, k: int, n_jobs: int | None = None
 ) -> ExperimentReport:
-    """Errors at a fixed k, binned by the query's latent position."""
+    """Errors at a fixed k, binned by the query's latent position. With
+    ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1`` (see ``run_error_vs_k``)."""
     cfg.validate()
     if cfg.model.dim != 1:
         raise ValueError("position binning is defined for dim = 1")
@@ -350,7 +353,7 @@ def run_dim_sweep(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experimen
 
     For dimension d the box edge is scaled to box / sqrt(d), keeping the
     diameter of the support comparable across dimensions. Prediction-error
-    columns are left empty.
+    columns are left empty. With ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1``.
     """
     cfg.validate()
     if not cfg.dims:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .rankings import _order, _row_blocks
+from .rankings import _id, _integers, _matrix, _order, _row_blocks
 
 _UNRESOLVED = object()
 # scipy's compiled kernel once resolved; None selects the public statistic
@@ -55,11 +55,11 @@ def _resolve_kernel():
 
 
 def _rows(r1, r2) -> tuple[np.ndarray, np.ndarray]:
-    """Two positions rows as arrays, each checked by ``rankings._order``; rows
-    of unequal length raise ``ValueError``."""
-    r1, r2 = np.asarray(r1), np.asarray(r2)
+    """Two positions rows as arrays, each checked by ``rankings._order`` before
+    conversion (so a bool in a list is seen); unequal lengths raise ``ValueError``."""
     _order(r1)
     _order(r2)
+    r1, r2 = np.asarray(r1), np.asarray(r2)
     if r1.size != r2.size:
         raise ValueError(f"positions rows differ in length: {r1.size} and {r2.size}")
     return r1, r2
@@ -159,9 +159,7 @@ def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndar
     thread writes only the cells of its own rows, so the integers are the
     serial ones.
     """
-    matrix = np.asarray(matrix, dtype=np.intp)  # the kernel's type, cast once
-    if matrix.ndim != 2:
-        raise ValueError("positions matrix must be 2-D")
+    matrix = _matrix(matrix).astype(np.intp, copy=False)  # the kernel's type, cast once
     if matrix.size and matrix.min() < 0:
         raise ValueError("positions matrix has unobserved (-1) entries")
     n = matrix.shape[0]
@@ -186,10 +184,9 @@ def make_pairing(alt_ids, pairing_seed: int) -> np.ndarray:
     The shuffle removes any accidental order dependence; an odd leftover
     alternative is dropped.
     """
-    alt_ids = np.asarray(alt_ids, dtype=np.int64)
+    alt_ids = _integers(alt_ids, "alt_ids").astype(np.int64, copy=False)
     perm = rng.substream(pairing_seed, rng.PAIRING).permutation(alt_ids.size)
-    shuffled = alt_ids[perm]
-    return shuffled[: 2 * (alt_ids.size // 2)].reshape(-1, 2)
+    return alt_ids[perm][: 2 * (alt_ids.size // 2)].reshape(-1, 2)
 
 
 def enkt_feature(r1, r2, pairing) -> float:
@@ -200,7 +197,7 @@ def enkt_feature(r1, r2, pairing) -> float:
     an unbiased estimate of E[NKT(r1, r2)] for i.i.d. alternatives.
     """
     r1, r2 = _rows(r1, r2)
-    pairing = np.asarray(pairing, dtype=np.int64)
+    pairing = _integers(pairing, "pairing")
     if pairing.ndim != 2 or pairing.shape[1] != 2 or pairing.shape[0] == 0:
         raise ValueError("pairing must be a nonempty (k, 2) index array")
     flat = pairing.ravel()
@@ -249,8 +246,7 @@ def feature_matrix(matrix: np.ndarray, pairing_seed: int) -> FeatureMatrix:
     discordant pairs. It costs
     O(sum_i (n - i) |O_i|) time and (n - 1) |O_i| memory per row.
     """
-    if np.ndim(matrix) != 2:
-        raise ValueError("positions matrix must be 2-D")
+    matrix = _matrix(matrix)
     n = matrix.shape[0]
     if n < 3:
         raise ValueError("feature matrix needs at least 3 agents")
@@ -297,9 +293,10 @@ def agent_distance(features: FeatureMatrix, i: int, j: int) -> float:
     The mean (rather than a sum) keeps threshold semantics independent of the
     number of agents.
     """
+    n = features.n_agents
+    i, j = _id(i, n, "agent i"), _id(j, n, "agent j")
     if i == j:
         raise ValueError("agent distance to itself is undefined")
-    n = features.n_agents
     if n < 3:
         raise ValueError("agent distance needs at least 3 agents")
     mask = np.ones(n, dtype=bool)
@@ -311,6 +308,7 @@ def agent_distance(features: FeatureMatrix, i: int, j: int) -> float:
 def agent_distances_from(features: FeatureMatrix, i: int) -> np.ndarray:
     """Vector of agent_distance(features, i, j) for all j (NaN at i)."""
     n = features.n_agents
+    i = _id(i, n, "agent i")
     vals = features.values
     diff = np.abs(vals[i][None, :] - vals)  # (n, n)
     # remove the i and j columns from each row's mean

@@ -10,7 +10,9 @@ alternative is drawn from the remaining pool with probability proportional to
 its utility. The Gumbel-max sampler (rank by log-utility plus i.i.d. Gumbel
 noise) is the default because it is a single argsort; the sequential roulette
 sampler realizes the product formula directly and the two are cross-checked
-in the tests.
+in the tests. Inputs that name agents or alternatives, or hold positions,
+pass one rule, kept here: ``_integers`` (integer dtype, no bool in a list),
+``_ids`` (int64 ids in [0, bound); ``_id`` for one) and ``_matrix`` (2-D).
 """
 
 from __future__ import annotations
@@ -34,14 +36,38 @@ def _row_blocks(n: int, m: int):
         yield slice(start, min(start + rows, n))
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an array; a nonempty one whose dtype is not an integer
-    kind (bool, float, object) raises ``ValueError`` instead of being
-    truncated or read as 0/1."""
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise ValueError(f"{what} must hold integers, got dtype {values.dtype}")
-    return values
+def _integers(values, what: str, ndim: int | None = None) -> np.ndarray:
+    """``values`` as an array; a nonempty one of a non-integer dtype, a list
+    holding a bool, or one not ``ndim``-D raises ``ValueError``. An array is
+    not scanned for bools: its dtype already says what it holds."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, got dtype {array.dtype}")
+    scan = array.ndim and not isinstance(values, np.ndarray)
+    if scan and {bool, np.bool_} & set(map(type, np.asarray(values, dtype=object).flat)):
+        raise ValueError(f"{what} must hold integers, got a bool")
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got shape {array.shape}")
+    return array
+
+
+def _ids(values, bound: int, what: str, ndim: int | None = None) -> np.ndarray:
+    """``values`` as int64 ids by the rule of ``_integers``, each in [0, bound)."""
+    ids = _integers(values, what, ndim)
+    bad = ids[(ids < 0) | (ids >= bound)]
+    if bad.size:
+        raise ValueError(f"{what} must be in [0, {bound}), got {bad.flat[0]}")
+    return ids.astype(np.int64, copy=False)
+
+
+def _id(value, bound: int, what: str) -> int:
+    """One id (a query, an agent, an alternative) by the rule of ``_ids``."""
+    return int(_ids(value, bound, what, ndim=0))
+
+
+def _matrix(matrix) -> np.ndarray:
+    """A positions matrix: 2-D, of an integer dtype; O(1), no row is scanned."""
+    return _integers(matrix, "positions matrix", ndim=2)
 
 
 def _order(row) -> np.ndarray:
@@ -49,9 +75,7 @@ def _order(row) -> np.ndarray:
     unobserved). A row that is not 1-D or of an integer dtype, observes
     nothing, or whose observed positions are not 0..s-1 each once raises
     ``ValueError``."""
-    row = _integers(row, "a positions row")
-    if row.ndim != 1:
-        raise ValueError(f"a positions row must be 1-D, got shape {row.shape}")
+    row = _integers(row, "a positions row", ndim=1)
     observed = np.flatnonzero(row >= 0)
     if observed.size == 0 or not np.array_equal(np.sort(row[observed]), np.arange(observed.size)):
         raise ValueError("observed positions must be 0..s-1, each once, with s >= 1")

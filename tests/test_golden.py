@@ -1,7 +1,8 @@
 """Golden sha256 digests of the bytes plknn writes and of the arrays its
 library returns: the three figure reports, the rankings CSV, the exact and
 pair-sampled Kendall-tau arrays, both positions samplers, one planted
-alternative-neighbor query and three verify reports. Every output is
+alternative-neighbor query, four verify reports and one concentration
+claim. Every output is
 byte-reproducible by contract, so a refactor or a faster path must leave
 these digests unchanged."""
 
@@ -33,7 +34,7 @@ from plknn import (
 from plknn import rng
 from plknn.kendall import _discordances
 from plknn.rankings import _row_blocks, positions_matrix
-from plknn.theory import item_bound_check
+from plknn.theory import _concentration_claim, _jsonable, agent_bound_check, item_bound_check
 
 MODEL = ModelConfig(n_agents=60, n_alternatives=200, dim=1, box=5.0, seed=0)
 CONFIG = ExperimentConfig(
@@ -72,12 +73,20 @@ VERIFY_DIGESTS = {
     "theorem-bias": "cf980ae110bd878bf2acc37f0a23ed6a946f45c9c3033ee7568976f1b05f7b85",
     "example-1": "9e0eb30734a8b3f8adb2fa730cefbe5fcfc627b99dd106cc9180e04e0ad6bbbf",
     "item-bounds": "b178ae66bd58bb232e37ca54a2ad625bdef1f3467fd646a466782d85c2498326",
+    # a reduced agent-bounds report: 2 gaps, 500 trials, no concentration claim
+    "agent-bounds": "458caf774677b436547ce471a77018c70f673c516a36cf9f8c59933ee4d431df",
 }
 VERIFY_RUNNERS = {
     "theorem-bias": verify_theorem_bias,
     "example-1": verify_example_one,
     "item-bounds": item_bound_check,
+    "agent-bounds": lambda: agent_bound_check(
+        eps_grid=(0.1, 0.2), trials=500, seed=0, concentration=False
+    ),
 }
+# the concentration claim at 20 repetitions: a pin on its bytes, not a claim
+# (its status reads "fail" at this size)
+CONCENTRATION_DIGEST = "b49e24f8ad7b604b1416b67f87daa094cef9852bd2194f9e3a19562a5727560c"
 
 
 def _assert_bytes(data, expected, artifact):
@@ -154,3 +163,10 @@ def test_alternative_neighbors_pinned():
 def test_verify_report_pinned(target):
     text = json.dumps(VERIFY_RUNNERS[target]().to_dict(), indent=2)
     _assert_bytes(text.encode(), VERIFY_DIGESTS[target], f"{target} verify report")
+
+
+def test_concentration_claim_pinned():
+    claim = _concentration_claim(0, reps=20)
+    entry = {"name": claim.name, "status": claim.status, "details": _jsonable(claim.details)}
+    text = json.dumps(entry, indent=2)
+    _assert_bytes(text.encode(), CONCENTRATION_DIGEST, "concentration claim, 20 reps")
