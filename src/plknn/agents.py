@@ -9,14 +9,12 @@ neighbor voting on pairwise preferences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .kendall import FeatureMatrix, _discordances, agent_distances_from
-from .latent import Population, pairwise_prob
+from .latent import Population, _check_number, pairwise_prob
 from .rankings import _id, _ids, _integers, _matrix
 
 METHODS = ("kt_knn", "global_knn", "oracle")
@@ -29,7 +27,8 @@ class NeighborSet:
     ``selector`` is ("top_k", k) or ("threshold", eps). In top-k mode
     ``members`` has k entries (the neighbor functions refuse k > n - 1); in
     threshold mode it holds every agent within the threshold. The query never
-    appears among the members, which are stored as a tuple of ints.
+    appears among the members. The query is stored as an int and the members
+    as a tuple of ints, by the integer rule of ``rankings._integers``.
     """
 
     query: int
@@ -38,6 +37,7 @@ class NeighborSet:
     selector: tuple[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "query", int(_integers(self.query, "query", 0)))
         object.__setattr__(self, "members", tuple(_integers(self.members, "members", 1).tolist()))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
@@ -60,12 +60,9 @@ def _check_query(n: int, query, k=None, eps=None) -> int:
     >= 0 or, when no eps is given, a k that is not an integer in [1, n - 1]."""
     query = _id(query, n, "query agent index")
     if eps is not None:
-        if isinstance(eps, bool) or not isinstance(eps, Real) or not math.isfinite(eps) or eps < 0:
-            raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
-    elif not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    elif k > n - 1:
-        raise ValueError(f"k must be at most n - 1 = {n - 1}, got {k!r}")
+        _check_number(eps, "eps", 0)
+    else:
+        _check_number(k, "k", 1, n - 1, integer=True)
     return query
 
 
@@ -85,6 +82,7 @@ def global_distances(features: FeatureMatrix, query: int) -> np.ndarray:
 
 def oracle_distances(population: Population, query: int) -> np.ndarray:
     """Latent Euclidean distances from the query agent (inf at the query)."""
+    query = _id(query, population.n_agents, "query agent index")
     d = np.linalg.norm(population.agents - population.agents[query], axis=1)
     d[query] = np.inf
     return d
@@ -137,8 +135,7 @@ def predict_pair(neighbors: NeighborSet, matrix: np.ndarray, a: int, b: int) -> 
     Neighbors that do not observe both alternatives are skipped; at least one
     usable neighbor is required.
     """
-    pairs = _check_pairs([[a, b]], _matrix(matrix).shape[1])
-    return float(vote_probabilities(matrix, neighbors.members, pairs)[0])
+    return float(vote_probabilities(matrix, neighbors.members, [[a, b]])[0])
 
 
 def _check_pairs(pair_sample, m: int) -> np.ndarray:
@@ -176,7 +173,6 @@ def prediction_error(
 ) -> float:
     """Mean absolute deviation between the neighbor vote and the ground-truth
     pairwise probability over the sampled alternative pairs."""
-    pair_sample = _check_pairs(pair_sample, _matrix(matrix).shape[1])
     if method == "kt_knn":
         neighbors = kt_knn(matrix, query, k)
     elif method == "global_knn":
@@ -188,13 +184,14 @@ def prediction_error(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    votes = vote_probabilities(matrix, neighbors.members, pair_sample)
-    truth = true_probabilities(population, query, pair_sample)
+    votes = vote_probabilities(matrix, neighbors.members, pair_sample)  # checks the pairs
+    truth = true_probabilities(population, query, np.asarray(pair_sample))
     return float(np.mean(np.abs(votes - truth)))
 
 
 def true_probabilities(population: Population, query: int, pair_sample: np.ndarray) -> np.ndarray:
     """Ground-truth probability that the query prefers a to b, per sampled pair (a, b)."""
+    query = _id(query, population.n_agents, "query agent index")
     y = population.alternatives[pair_sample]
     return pairwise_prob(population.agents[query], y[:, 0], y[:, 1])
 
@@ -202,8 +199,11 @@ def true_probabilities(population: Population, query: int, pair_sample: np.ndarr
 def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> np.ndarray:
     """Per-pair fraction of usable members ranking a above b (vectorized).
 
-    A member that is not an agent index in [0, n) raises ``ValueError``."""
-    sub = _matrix(matrix)[_ids(members, len(matrix), "neighbor agent indices")]  # gathered once
+    A member that is not an agent index in [0, n), or pairs that
+    ``_check_pairs`` refuses, raise ``ValueError``."""
+    matrix = _matrix(matrix)
+    pair_sample = _check_pairs(pair_sample, matrix.shape[1])
+    sub = matrix[_ids(members, len(matrix), "neighbor agent indices")]  # gathered once
     pos_a = np.take(sub, pair_sample[:, 0], axis=1)
     pos_b = np.take(sub, pair_sample[:, 1], axis=1)
     usable = (pos_a >= 0) & (pos_b >= 0)

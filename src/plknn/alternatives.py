@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
+from .latent import _check_number
 from .rankings import _id, _ids, _matrix, _row_blocks
 
 
@@ -90,8 +90,7 @@ def candidate_set(matrix: np.ndarray, a: int, ell: float) -> CandidateSet:
     """All alternatives whose sign distance to ``a`` is at most 1/ell."""
     matrix = _matrix(matrix)
     a = _id(a, matrix.shape[1], "alternative index")
-    if isinstance(ell, bool) or not isinstance(ell, Real) or not math.isfinite(ell) or ell < 1:
-        raise ValueError(f"ell must be a finite real number >= 1, got {ell!r}")
+    _check_number(ell, "ell", 1)
     distances = _sign_distance_columns(matrix, a)
     # NaN entries (the query itself, pairs no agent ranks) compare False
     members = [a, *np.flatnonzero(distances <= 1.0 / ell).tolist()]

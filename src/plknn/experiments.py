@@ -21,7 +21,8 @@ import numpy as np
 from . import agents, rng
 from .agents import METHODS, sample_pairs
 from .kendall import FeatureMatrix, discordance_matrix, feature_matrix
-from .latent import ModelConfig, Population, check_field_types, config_keys, sample_population
+from .latent import ModelConfig, Population, _check_number, _Config, check_field_types
+from .latent import sample_population
 from .rankings import sample_rankings
 
 CSV_HEADER = "method,k,dim,seed,query_bin,error_mean,error_stderr,neighbor_dist_mean,config_hash"
@@ -29,7 +30,7 @@ POSITION_BINS = 40
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Config):
     """Full description of a reproducible synthetic run."""
 
     model: ModelConfig
@@ -59,35 +60,6 @@ class ExperimentConfig:
             raise ValueError("dims must be positive")
         if not self.replicate_seeds:
             raise ValueError("at least one replicate seed is required")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "k_grid": list(self.k_grid),
-            "methods": list(self.methods),
-            "pair_sample_size": self.pair_sample_size,
-            "dims": list(self.dims),
-            "output_dir": self.output_dir,
-            "replicate_seeds": list(self.replicate_seeds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = config_keys(cls, data)
-        data["model"] = ModelConfig.from_dict(data["model"])
-        for key in ("k_grid", "methods", "dims", "replicate_seeds"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -148,6 +120,7 @@ def write_report_csv(report: ExperimentReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
         fp.write(CSV_HEADER + "\n")
         for row in report.rows:
+            row.validate()
             fp.write(
                 ",".join(
                     [
@@ -334,8 +307,7 @@ def run_error_vs_position(
     cfg.validate()
     if cfg.model.dim != 1:
         raise ValueError("position binning is defined for dim = 1")
-    if k >= cfg.model.n_agents:
-        raise ValueError("k must be below the number of agents")
+    _check_number(k, "k", 1, cfg.model.n_agents - 1, integer=True)
     rows = []
     edges = np.linspace(0.0, cfg.model.box, POSITION_BINS + 1)
     for seed, dim, ctx, per_query in _sweep(cfg, [cfg.model], (k,), cfg.pair_sample_size, n_jobs):

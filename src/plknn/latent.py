@@ -3,16 +3,19 @@
 Agents and alternatives are points in the box [0, box]^dim. An agent's
 utility for an alternative decays exponentially with Euclidean distance,
 which induces the ground-truth pairwise preference probabilities.
+
+The config dataclasses read and write JSON through one base, ``_Config``;
+numeric arguments (k, eps, ell, c_obs) pass one rule, ``_check_number``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
-from typing import IO
 
 import numpy as np
 
@@ -47,14 +50,64 @@ def check_field_types(config) -> None:
         kind = typing.get_args(hint)[0] if sequence else hint
         kind = {int: Integral, float: Real}.get(kind, kind)
         values = value if sequence else (value,)
-        if not isinstance(values, (tuple, list)) or any(
-            isinstance(v, bool) or not isinstance(v, kind) for v in values
-        ):
+        if not isinstance(values, (tuple, list)) or not all(_is_kind(v, kind) for v in values):
             raise ValueError(f"{type(config).__name__}.{name} has the wrong type: {value!r}")
 
 
+def _is_kind(value, kind) -> bool:
+    """``isinstance(value, kind)``, with a bool never counted as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_number(value, what: str, lo, hi=math.inf, integer: bool = False) -> None:
+    """Raise ``ValueError("<what> must be ...")`` unless ``value`` is a finite
+    real number (an integer when ``integer``), not a bool, in [lo, hi]."""
+    finite = _is_kind(value, Integral if integer else Real) and -math.inf < value < math.inf
+    if not finite or not lo <= value <= hi:
+        rule = "an integer" if integer else "a finite real number"
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be {rule} {bound}, got {value!r}")
+
+
+class _Config:
+    """The JSON form of a config dataclass: each field in declaration order,
+    a nested config by its own ``to_dict``, a tuple as a list. Reading
+    checks the keys, rebuilds nested configs and tuples from the field
+    annotations, then validates."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _Config):
+                value = value.to_dict()
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        data = config_keys(cls, data)
+        for name, hint in _type_hints(cls).items():
+            if name not in data:  # a missing field takes the dataclass default
+                continue
+            if isinstance(hint, type) and issubclass(hint, _Config):
+                data[name] = hint.from_dict(data[name])
+            elif typing.get_origin(hint) is tuple and isinstance(data[name], list):
+                data[name] = tuple(data[name])
+        config = cls(**data)
+        config.validate()
+        return config
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
 @dataclass(frozen=True)
-class DistSpec:
+class DistSpec(_Config):
     """Sampling distribution for one entity kind on [0, box]^dim.
 
     ``uniform`` is the flat density.  ``near_uniform`` is a piecewise-constant
@@ -96,19 +149,14 @@ class DistSpec:
         return (cell + frac) / self.cells * box
 
     def to_dict(self) -> dict:
+        # every config hash reads this compact form: keep its bytes
         if self.kind == "uniform":
             return {"kind": "uniform"}
-        return {"kind": self.kind, "ratio": self.ratio, "cells": self.cells}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistSpec":
-        spec = cls(**config_keys(cls, data))
-        spec.validate()
-        return spec
+        return super().to_dict()
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Config):
     """Full description of one synthetic population.
 
     The seed determines every downstream sample; entity kinds draw from
@@ -146,36 +194,6 @@ class ModelConfig:
     def c_y(self) -> float:
         """Recorded density ratio of the alternative distribution."""
         return self.dist_y.density_ratio(self.dim)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_agents": self.n_agents,
-            "n_alternatives": self.n_alternatives,
-            "dim": self.dim,
-            "box": self.box,
-            "dist_x": self.dist_x.to_dict(),
-            "dist_y": self.dist_y.to_dict(),
-            "seed": self.seed,
-        }
-
-    def to_json(self, fp: IO[str] | None = None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if fp is not None:
-            fp.write(text)
-        return text
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        data = config_keys(cls, data)
-        data["dist_x"] = DistSpec.from_dict(data.get("dist_x", {"kind": "uniform"}))
-        data["dist_y"] = DistSpec.from_dict(data.get("dist_y", {"kind": "uniform"}))
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

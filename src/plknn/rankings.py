@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .latent import Population
+from .latent import Population, _check_number
 
 _MAX_EXACT_M = 8
 _BLOCK = 2**16  # entries per row block: a block's temporaries fit in a core's L2 cache
@@ -37,10 +37,14 @@ def _row_blocks(n: int, m: int):
 
 
 def _integers(values, what: str, ndim: int | None = None) -> np.ndarray:
-    """``values`` as an array; a nonempty one of a non-integer dtype, a list
-    holding a bool, or one not ``ndim``-D raises ``ValueError``. An array is
-    not scanned for bools: its dtype already says what it holds."""
-    array = np.asarray(values)
+    """``values`` as an array; a ragged sequence, a nonempty one of a
+    non-integer dtype, a list holding a bool, or one not ``ndim``-D raises
+    ``ValueError``. An array is not scanned for bools: its dtype already says
+    what it holds."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy's message does not name the argument
+        raise ValueError(f"{what} must hold integers, got a ragged sequence") from None
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{what} must hold integers, got dtype {array.dtype}")
     scan = array.ndim and not isinstance(values, np.ndarray)
@@ -170,8 +174,7 @@ def sample_rankings(population: Population, seed: int, c_obs: float = 1.0) -> np
     floor(m / c_obs) alternatives, chosen from substream (seed, OBSERVATION, i):
     those are renumbered 0..floor(m / c_obs) - 1 and the rest read -1.
     """
-    if c_obs < 1.0:
-        raise ValueError("c_obs must be >= 1")
+    _check_number(c_obs, "c_obs", 1)
     n, m = population.n_agents, population.n_alternatives
     matrix = positions_matrix(population, seed, stream="per_agent")
     n_obs = int(m // c_obs)

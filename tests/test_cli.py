@@ -245,6 +245,28 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, command, change):
     assert next(iter(change)) in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # -2 once exited 0 with negative neighbor distances; 0 ended in a traceback
+        (["experiment", "fig1b", "--k", "-2"], "k must be"),
+        (["experiment", "fig1b", "--k", "0"], "k must be"),
+        # nan once reported numpy's "cannot convert float NaN to integer"
+        (["simulate", "--c-obs", "nan"], "c_obs must be"),
+    ],
+    ids=["fig1b k -2", "fig1b k 0", "simulate c_obs nan"],
+)
+def test_bad_number_is_one_error_line(
+    tmp_path, capsys, model_config_file, experiment_config_file, argv, message
+):
+    config = experiment_config_file if argv[0] == "experiment" else model_config_file
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == EXIT_FAILED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not list(out.glob("*.csv"))
+
+
 def test_missing_config_is_an_error(tmp_path):
     assert main(
         ["knn", "--method", "oracle", "--query", "0", "--k", "1",

@@ -22,6 +22,8 @@ from plknn.agents import METHODS
 from plknn.experiments import (
     CSV_HEADER,
     POSITION_BINS,
+    ExperimentReport,
+    ReportRow,
     _build_context,
     _method_distances,
     _query_errors,
@@ -181,6 +183,17 @@ def test_csv_schema_and_hash_column(tmp_path):
     ]
     for line in lines[1:]:
         assert line.split(",")[-1] == report.config_hash
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"error_mean": 1.5}, "error_mean"), ({"neighbor_dist_mean": -5.6}, "nonnegative")],
+)
+def test_write_report_refuses_an_invalid_row(tmp_path, change, message):
+    row = ReportRow("kt_knn", 3, 1, 0, None, 0.1, 0.01, 0.5)
+    report = ExperimentReport(rows=(row, replace(row, **change)), config_hash="abc")
+    with pytest.raises(ValueError, match=message):
+        write_report_csv(report, tmp_path / "report.csv")
 
 
 def test_merge_refuses_mismatched_configs():

@@ -14,6 +14,7 @@ import pytest
 import scipy
 
 from plknn import (
+    DistSpec,
     ExperimentConfig,
     ModelConfig,
     Population,
@@ -84,6 +85,42 @@ VERIFY_RUNNERS = {
         eps_grid=(0.1, 0.2), trials=500, seed=0, concentration=False
     ),
 }
+# a near-uniform dist_x and a default dist_y, which is written compactly
+PINNED_MODEL = ModelConfig(
+    n_agents=7,
+    n_alternatives=9,
+    dim=2,
+    box=5.0,
+    dist_x=DistSpec(kind="near_uniform", ratio=2.0, cells=6),
+    seed=123,
+)
+PINNED_MODEL_JSON = """{
+  "n_agents": 7,
+  "n_alternatives": 9,
+  "dim": 2,
+  "box": 5.0,
+  "dist_x": {
+    "kind": "near_uniform",
+    "ratio": 2.0,
+    "cells": 6
+  },
+  "dist_y": {
+    "kind": "uniform"
+  },
+  "seed": 123
+}"""
+# every tuple field set away from its default
+PINNED_EXPERIMENT = ExperimentConfig(
+    model=PINNED_MODEL,
+    k_grid=(2, 4, 6),
+    methods=("oracle", "kt_knn"),
+    pair_sample_size=50,
+    dims=(1, 3),
+    output_dir="out",
+    replicate_seeds=(5, 7),
+)
+PINNED_EXPERIMENT_DIGEST = "9ed819295962f42a6b79db91b7bf204136a54991972f62381215a12c903459fa"
+PINNED_EXPERIMENT_HASH = "700fbd860fca"
 # the concentration claim at 20 repetitions: a pin on its bytes, not a claim
 # (its status reads "fail" at this size)
 CONCENTRATION_DIGEST = "b49e24f8ad7b604b1416b67f87daa094cef9852bd2194f9e3a19562a5727560c"
@@ -170,3 +207,15 @@ def test_concentration_claim_pinned():
     entry = {"name": claim.name, "status": claim.status, "details": _jsonable(claim.details)}
     text = json.dumps(entry, indent=2)
     _assert_bytes(text.encode(), CONCENTRATION_DIGEST, "concentration claim, 20 reps")
+
+
+def test_config_json_pinned():
+    # the JSON text feeds config_hash, which is written on every report row
+    assert PINNED_MODEL.to_json() == PINNED_MODEL_JSON
+    text = PINNED_EXPERIMENT.to_json()
+    _assert_bytes(text.encode(), PINNED_EXPERIMENT_DIGEST, "experiment config JSON")
+    assert PINNED_EXPERIMENT.config_hash() == PINNED_EXPERIMENT_HASH
+    # tuples are written as JSON lists and read back as tuples
+    assert json.loads(text)["k_grid"] == [2, 4, 6]
+    assert ModelConfig.from_json(PINNED_MODEL_JSON) == PINNED_MODEL
+    assert ExperimentConfig.from_json(text) == PINNED_EXPERIMENT

@@ -1,12 +1,15 @@
 """One input rule for every public entry point: agent and alternative ids are
-integers (never bools, not even inside a list) within range, and a positions
-matrix is a 2-D integer array. Anything else raises ``ValueError`` naming the
-argument, never a wrong answer, an ``IndexError`` or an ``AxisError``."""
+integers (never bools, not even inside a list) within range, a positions
+matrix is a 2-D integer array, and a numeric argument (k, eps, ell, c_obs)
+is a finite number, never a bool, within its range. Anything else raises
+``ValueError`` naming the argument, never a wrong answer, an ``IndexError``,
+an ``AxisError`` or a ``TypeError``."""
 
 import numpy as np
 import pytest
 
 from plknn import (
+    ExperimentConfig,
     ModelConfig,
     agent_distance,
     candidate_set,
@@ -20,17 +23,25 @@ from plknn import (
     prediction_error,
     rank_matrix,
     restrict_ranking,
+    run_error_vs_position,
     sample_population,
     sample_rankings,
     sign_distance,
 )
-from plknn.agents import NeighborSet, kt_knn, vote_probabilities
+from plknn.agents import (
+    NeighborSet,
+    kt_knn,
+    oracle_distances,
+    true_probabilities,
+    vote_probabilities,
+)
 from plknn.kendall import agent_distances_from
 
 POP = sample_population(ModelConfig(n_agents=6, n_alternatives=20, seed=0))
 M = sample_rankings(POP, seed=0)
 F = feature_matrix(M, 0)
 NEIGHBORS = NeighborSet(5, (0, 1), "oracle", ("top_k", 2))
+FIG1B = ExperimentConfig(ModelConfig(n_agents=12, n_alternatives=30), k_grid=(3,))
 
 # (entry point, bad input) -> (call, a word of the message naming the argument)
 BAD_INPUTS = {
@@ -71,6 +82,25 @@ BAD_INPUTS = {
     "NeighborSet float member": (
         lambda: NeighborSet(5, (0, 1.7), "oracle", ("top_k", 2)), "members"
     ),
+    # was stored and serialized as "query": 1.5
+    "NeighborSet float query": (lambda: NeighborSet(1.5, (0, 1), "oracle", ("top_k", 2)), "query"),
+    "rank_matrix ragged order": (lambda: rank_matrix([[0, [1, 2]]]), "order 0"),
+    # each of the next three read -1 as the last alternative or agent
+    "vote_probabilities negative pair id": (
+        lambda: vote_probabilities(M, [0, 1], np.array([[0, -1]])), "pairs"
+    ),
+    "true_probabilities negative query": (
+        lambda: true_probabilities(POP, -1, np.array([[0, 1]])), "query"
+    ),
+    "oracle_distances negative query": (lambda: oracle_distances(POP, -1), "query"),
+    "sample_rankings nan c_obs": (lambda: sample_rankings(POP, 0, c_obs=float("nan")), "c_obs"),
+    "sample_rankings bool c_obs": (lambda: sample_rankings(POP, 0, c_obs=True), "c_obs"),
+    # -2 wrote negative neighbor distances, 0 ended in an IndexError, 2.5 in
+    # a TypeError, and True was written in the k column
+    "run_error_vs_position negative k": (lambda: run_error_vs_position(FIG1B, -2), "k must"),
+    "run_error_vs_position zero k": (lambda: run_error_vs_position(FIG1B, 0), "k must"),
+    "run_error_vs_position float k": (lambda: run_error_vs_position(FIG1B, 2.5), "k must"),
+    "run_error_vs_position bool k": (lambda: run_error_vs_position(FIG1B, True), "k must"),
 }
 
 
