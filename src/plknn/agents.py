@@ -203,12 +203,28 @@ def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> 
     ``_check_pairs`` refuses, raise ``ValueError``."""
     matrix = _matrix(matrix)
     pair_sample = _check_pairs(pair_sample, matrix.shape[1])
-    sub = matrix[_ids(members, len(matrix), "neighbor agent indices")]  # gathered once
-    pos_a = np.take(sub, pair_sample[:, 0], axis=1)
-    pos_b = np.take(sub, pair_sample[:, 1], axis=1)
-    usable = (pos_a >= 0) & (pos_b >= 0)
-    counts = usable.sum(axis=0)
-    if np.any(counts == 0):
+    sub = matrix[_ids(members, len(matrix), "neighbor agent indices", ndim=1)]  # repeats vote again
+    prefer, usable = _vote_counts(sub.T, pair_sample, [np.arange(len(sub))], [len(sub)])
+    if np.any(usable == 0):
         raise ValueError("no neighbor ranks both alternatives of a sampled pair")
-    prefer = ((pos_a < pos_b) & usable).sum(axis=0)
-    return prefer / counts
+    return prefer[0, 0] / usable[0, 0]
+
+
+def _vote_counts(columns: np.ndarray, pairs: np.ndarray, orders, sizes):
+    """Exact float64 counts ``(prefer, usable)``, shaped (len(orders), len(sizes), P):
+    of the first ``sizes[t]`` agents of ``orders[i]`` (no repeats), those ranking
+    pair p's a above b and those observing both (last axis 1 when no -1 is read),
+    read from ``columns``, the positions matrix transposed to (m, n)."""
+    pos_a, pos_b = columns[pairs[:, 0]], columns[pairs[:, 1]]
+    prefer, observed = pos_a < pos_b, None
+    if min(pos_a.min(initial=0), pos_b.min(initial=0)) < 0:  # an unobserved (-1) entry
+        observed = (pos_a >= 0) & (pos_b >= 0)
+        prefer &= observed
+    del pos_a, pos_b  # once they are freed, the float64 copy below allocates faster
+    t = len(sizes)
+    select = np.zeros((columns.shape[1], len(orders) * t))
+    for i, order in enumerate(orders):
+        select[order, i * t : (i + 1) * t] = np.arange(len(order))[:, None] < sizes
+    counts = select.T @ prefer.astype(np.float64).T  # one product for every order and size
+    usable = select.sum(axis=0) if observed is None else select.T @ observed.astype(np.float64).T
+    return counts.reshape(len(orders), t, -1), usable.reshape(len(orders), t, -1)

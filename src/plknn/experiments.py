@@ -78,9 +78,17 @@ class ReportRow:
     neighbor_dist_mean: float
 
     def validate(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.k < 1 or self.dim < 1:
+            raise ValueError(f"k and dim must be >= 1, got k={self.k}, dim={self.dim}")
+        if self.query_bin is not None and not 0 <= self.query_bin < POSITION_BINS:
+            raise ValueError(f"query_bin must be in [0, {POSITION_BINS}), got {self.query_bin}")
         if self.error_mean is not None and not 0.0 <= self.error_mean <= 1.0:
             raise ValueError("error_mean must lie in [0, 1]")
-        if self.neighbor_dist_mean < 0:
+        if self.error_stderr is not None and not self.error_stderr >= 0:
+            raise ValueError("error_stderr must be nonnegative")
+        if not self.neighbor_dist_mean >= 0:
             raise ValueError("neighbor distances are nonnegative")
 
 
@@ -145,12 +153,14 @@ def read_report_csv(path) -> ExperimentReport:
         raise ValueError("unrecognized report header")
     rows = []
     hashes = set()
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         f = line.split(",")
-        rows.append(
-            ReportRow(
+        try:
+            if len(f) != 9:
+                raise ValueError(f"expected 9 fields, got {len(f)}")
+            row = ReportRow(
                 method=f[0],
                 k=int(f[1]),
                 dim=int(f[2]),
@@ -160,7 +170,10 @@ def read_report_csv(path) -> ExperimentReport:
                 error_stderr=float(f[6]) if f[6] else None,
                 neighbor_dist_mean=float(f[7]),
             )
-        )
+            row.validate()
+        except ValueError as exc:
+            raise ValueError(f"report line {number}: {exc}") from None
+        rows.append(row)
         hashes.add(f[8])
     if len(hashes) != 1:
         raise ValueError("report file mixes config hashes")
@@ -179,8 +192,9 @@ class _SeedContext:
     columns: np.ndarray = field(init=False)  # contiguous (m, n) int32 transpose of matrix
 
     def __post_init__(self):
-        # the vote reads positions as "a ranked above b"; an unobserved -1
-        # would read as a top position
+        # the vote skips neighbors that do not observe a pair, but the runner
+        # has no rule yet for a sampled pair that none of the k neighbors
+        # observes (the public API raises), so it takes full rankings only
         if self.matrix.size and self.matrix.min() < 0:
             raise ValueError("the runner votes on fully observed rankings; matrix has -1 entries")
         object.__setattr__(self, "columns", np.ascontiguousarray(self.matrix.T, dtype=np.int32))
@@ -218,23 +232,17 @@ def _query_errors(
     )
     truth = agents.true_probabilities(ctx.population, q, pairs)
     latent = agents.oracle_distances(ctx.population, q)
-    # prefer[p, j] = 1 when agent j ranks pair p's first alternative above its second
-    prefer = (ctx.columns[pairs[:, 0]] < ctx.columns[pairs[:, 1]]).astype(np.float64)
     sizes = np.minimum(k_grid, ctx.population.n_agents - 1)  # neighbors voting at each k
+    dists = [latent if m == "oracle" else _method_distances(ctx, m, q) for m in methods]
+    # no k votes with more neighbors than the largest k
+    orders = [agents.neighbor_order(dist, q, max(k_grid)) for dist in dists]
+    prefer, usable = agents._vote_counts(ctx.columns, pairs, orders, sizes)
+    votes = prefer / usable
     out: dict[tuple[str, int], tuple[float, float]] = {}
-    for method in methods:
-        dist = latent if method == "oracle" else _method_distances(ctx, method, q)
-        # no k votes with more neighbors than the largest k
-        order = agents.neighbor_order(dist, q, max(k_grid))
-        # column t selects the nearest sizes[t] neighbors, so counts[:, t] is
-        # their vote count: a sum of 0/1 terms, exact in float64 in any order
-        select = np.zeros((prefer.shape[1], sizes.size))
-        select[order] = np.arange(order.size)[:, None] < sizes
-        counts = prefer @ select
+    for method, order, method_votes in zip(methods, orders, votes):
         cum_dist = np.cumsum(latent[order])
-        for t, (k, kk) in enumerate(zip(k_grid, sizes)):
-            votes = counts[:, t] / kk
-            err = float(np.mean(np.abs(votes - truth)))
+        for k, kk, vote in zip(k_grid, sizes, method_votes):
+            err = float(np.mean(np.abs(vote - truth)))
             out[(method, k)] = (err, float(cum_dist[kk - 1] / kk))
     return out
 
@@ -252,6 +260,8 @@ def _map_queries(ctx, queries, methods, k_grid, pair_count, n_jobs):
 def _sweep(cfg: ExperimentConfig, models, k_grid, pair_count: int, n_jobs: int | None):
     """(seed, dim, context, per-query stats) for each replicate seed and model
     in turn; every agent serves once as the query, stats in query order."""
+    if n_jobs is not None:
+        _check_number(n_jobs, "n_jobs", 1, integer=True)
     for seed in cfg.replicate_seeds:
         for model in models:
             ctx = _build_context(model, seed, cfg.methods, n_jobs)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .latent import _check_number
 from .rankings import _id, _integers, _matrix, _order, _row_blocks
 
 _UNRESOLVED = object()
@@ -160,6 +161,8 @@ def discordance_matrix(matrix: np.ndarray, n_jobs: int | None = None) -> np.ndar
     serial ones.
     """
     matrix = _matrix(matrix).astype(np.intp, copy=False)  # the kernel's type, cast once
+    if n_jobs is not None:
+        _check_number(n_jobs, "n_jobs", 1, integer=True)
     if matrix.size and matrix.min() < 0:
         raise ValueError("positions matrix has unobserved (-1) entries")
     n = matrix.shape[0]

@@ -128,6 +128,9 @@ class DistSpec(_Config):
             raise ValueError("density ratio must be finite and >= 1")
         if self.kind == "near_uniform" and self.cells < 2:
             raise ValueError("near-uniform grid needs at least 2 cells")
+        # to_dict writes a uniform spec as its kind alone
+        if self.kind == "uniform" and self != DistSpec():
+            raise ValueError("a uniform distribution takes the default ratio and cells")
 
     def density_ratio(self, dim: int) -> float:
         """Joint sup/inf density ratio realized in ``dim`` dimensions."""

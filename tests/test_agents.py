@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plknn import (
     ModelConfig,
@@ -17,7 +19,7 @@ from plknn import (
     sample_rankings,
 )
 from plknn import rng
-from plknn.agents import vote_probabilities
+from plknn.agents import _vote_counts, vote_probabilities
 from plknn.kendall import agent_distances_from
 
 from _harness import bias_witness
@@ -175,6 +177,9 @@ def test_predict_pair_basics():
     partial = rank_matrix([[0, 1], [2, 3]])
     ns = NeighborSet(9, (0, 1), "oracle", ("top_k", 2))
     assert predict_pair(ns, partial, 0, 1) == 1.0
+    # so is one that misses only the second alternative, or only the first
+    half = rank_matrix([[0, 1], [0]])
+    assert predict_pair(ns, half, 0, 1) == 1.0 and predict_pair(ns, half, 1, 0) == 0.0
     # unobserved, not an alternative, the same alternative twice, not an integer
     for a, b in ((0, 3), (-1, 0), (0, -2), (0, 9), (1, 1), (True, 0), (0, np.True_), (1.5, 0)):
         with pytest.raises(ValueError):
@@ -219,6 +224,45 @@ def test_vote_probabilities_equal_a_per_member_loop():
     assert vote_probabilities(matrix, members, pairs).tolist() == (prefer / usable).tolist()
     with pytest.raises(ValueError, match="no neighbor ranks both"):
         vote_probabilities(matrix, [], pairs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 12),
+    m=st.integers(2, 30),
+    c_obs=st.sampled_from((1.0, 1.25)),
+    n_orders=st.integers(1, 3),
+    k_grid=st.lists(st.integers(1, 14), min_size=1, max_size=4).map(sorted),
+    seed=st.integers(0, 2**16),
+)
+def test_vote_counts_equal_a_per_member_loop(n, m, c_obs, n_orders, k_grid, seed):
+    # the runner's nested case: orders of the min(max k, n - 1) nearest
+    # agents, sizes cut to n - 1, repeated sizes and k >= n - 1 included
+    pop = sample_population(ModelConfig(n_agents=n, n_alternatives=m, dim=1, box=5.0, seed=seed))
+    matrix = sample_rankings(pop, seed=seed, c_obs=c_obs)
+    gen = np.random.default_rng(seed)
+    pairs = sample_pairs(m, 20, gen)
+    sizes = np.minimum(k_grid, n - 1)
+    orders = [gen.permutation(n)[: sizes[-1]] for _ in range(n_orders)]
+    prefer, usable = _vote_counts(matrix.T, pairs, orders, sizes)
+    for i, order in enumerate(orders):
+        for t, size in enumerate(sizes):
+            want_prefer, want_usable = np.zeros(len(pairs)), np.zeros(len(pairs))
+            for j in order[:size]:
+                for p, (a, b) in enumerate(pairs):
+                    if matrix[j, a] >= 0 and matrix[j, b] >= 0:
+                        want_usable[p] += 1
+                        want_prefer[p] += matrix[j, a] < matrix[j, b]
+            assert prefer[i, t].tolist() == want_prefer.tolist()
+            assert np.broadcast_to(usable[i, t], len(pairs)).tolist() == want_usable.tolist()
+        # the one-size case on the whole matrix is the public vote
+        one_prefer, one_usable = _vote_counts(matrix.T, pairs, [order], sizes[-1:])
+        if one_usable.min() > 0:
+            want = vote_probabilities(matrix, order, pairs).tolist()
+            assert (one_prefer[0, 0] / one_usable[0, 0]).tolist() == want
+        else:
+            with pytest.raises(ValueError, match="no neighbor ranks both"):
+                vote_probabilities(matrix, order, pairs)
 
 
 def test_prediction_consistency_with_truth():

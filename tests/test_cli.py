@@ -253,8 +253,11 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, command, change):
         (["experiment", "fig1b", "--k", "0"], "k must be"),
         # nan once reported numpy's "cannot convert float NaN to integer"
         (["simulate", "--c-obs", "nan"], "c_obs must be"),
+        # both once ran serially and exited 0
+        (["experiment", "fig1a", "--jobs", "0"], "n_jobs must be"),
+        (["experiment", "fig1a", "--jobs", "-1"], "n_jobs must be"),
     ],
-    ids=["fig1b k -2", "fig1b k 0", "simulate c_obs nan"],
+    ids=["fig1b k -2", "fig1b k 0", "simulate c_obs nan", "fig1a jobs 0", "fig1a jobs -1"],
 )
 def test_bad_number_is_one_error_line(
     tmp_path, capsys, model_config_file, experiment_config_file, argv, message

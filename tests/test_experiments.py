@@ -105,8 +105,9 @@ def _query_errors_reference(ctx, q, methods, k_grid, pair_count):
     seed=st.integers(0, 2**16),
 )
 def test_query_errors_match_the_cumulative_vote(n, m, pair_count, methods, k_grid, seed):
-    # the one-gather matrix-product vote equals the per-method gathers and
-    # cumulative sums bit for bit, k >= n - 1 included
+    # the shared vote count (one gather and one product for every method and
+    # k) equals the per-method gathers and cumulative sums bit for bit,
+    # k >= n - 1 included
     model = ModelConfig(n_agents=n, n_alternatives=m, dim=1, box=5.0, seed=seed)
     ctx = _build_context(model, seed, methods)
     k_grid = tuple(k_grid) + (n - 1, n + 3) if max(k_grid) < n - 1 else tuple(k_grid)
@@ -116,7 +117,8 @@ def test_query_errors_match_the_cumulative_vote(n, m, pair_count, methods, k_gri
 
 
 def test_context_refuses_unobserved_entries():
-    # an unobserved -1 would vote as the top position
+    # the vote counts usable neighbors, but the runner has no rule yet for a
+    # sampled pair that none of the k neighbors observes
     model = _tiny_config().model
     ctx = _build_context(model, 0, ("oracle",))
     assert ctx.columns.flags.c_contiguous and ctx.columns.dtype == np.int32
@@ -209,8 +211,26 @@ def test_read_report_rejects_mixed_hashes(tmp_path):
     row = "kt_knn,3,1,0,,0.1,0.01,0.5,"
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n" + row + "aaa\n" + row + "bbb\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixes config hashes"):
         read_report_csv(path)
+    # a bad row is refused with its line number; the first three once read
+    # back (k = -2 with a negative distance, an unknown method) or ended in
+    # an IndexError
+    bad_rows = {
+        "kt_knn,-2,1,0,3,0.5391652619,0,-5.57109167,abc": "k and dim",
+        "bogus,3,1,0,,0.1,0.01,0.5,abc": "unknown method",
+        "kt_knn,3,1": "expected 9 fields",
+        "kt_knn,3,0,0,,0.1,0.01,0.5,abc": "k and dim",
+        f"oracle,3,1,0,{POSITION_BINS},0.1,0.01,0.5,abc": "query_bin",
+        "oracle,3,1,0,-1,0.1,0.01,0.5,abc": "query_bin",
+        "oracle,3,1,0,,0.1,-0.01,0.5,abc": "error_stderr",
+        "oracle,3,1,0,,0.1,0.01,nan,abc": "nonnegative",
+        "oracle,x,1,0,,0.1,0.01,0.5,abc": "invalid literal",
+    }
+    for bad, message in bad_rows.items():
+        path.write_text(CSV_HEADER + "\n" + row + "abc\n" + bad + "\n")
+        with pytest.raises(ValueError, match=f"report line 3: .*{message}"):
+            read_report_csv(path)
 
 
 def test_oracle_never_worse_at_every_k():

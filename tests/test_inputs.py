@@ -23,6 +23,8 @@ from plknn import (
     prediction_error,
     rank_matrix,
     restrict_ranking,
+    run_dim_sweep,
+    run_error_vs_k,
     run_error_vs_position,
     sample_population,
     sample_rankings,
@@ -89,6 +91,10 @@ BAD_INPUTS = {
     "vote_probabilities negative pair id": (
         lambda: vote_probabilities(M, [0, 1], np.array([[0, -1]])), "pairs"
     ),
+    # a single id ended in numpy's AxisError
+    "vote_probabilities scalar member": (
+        lambda: vote_probabilities(M, 0, np.array([[0, 1]])), "neighbor agent indices"
+    ),
     "true_probabilities negative query": (
         lambda: true_probabilities(POP, -1, np.array([[0, 1]])), "query"
     ),
@@ -101,6 +107,15 @@ BAD_INPUTS = {
     "run_error_vs_position zero k": (lambda: run_error_vs_position(FIG1B, 0), "k must"),
     "run_error_vs_position float k": (lambda: run_error_vs_position(FIG1B, 2.5), "k must"),
     "run_error_vs_position bool k": (lambda: run_error_vs_position(FIG1B, True), "k must"),
+    # 0 and -3 ran serially, 1.5 ended in a TypeError in range
+    "run_error_vs_k zero n_jobs": (lambda: run_error_vs_k(FIG1B, n_jobs=0), "n_jobs"),
+    "run_error_vs_k negative n_jobs": (lambda: run_error_vs_k(FIG1B, n_jobs=-3), "n_jobs"),
+    "run_dim_sweep float n_jobs": (lambda: run_dim_sweep(FIG1B, n_jobs=2.0), "n_jobs"),
+    "run_error_vs_position bool n_jobs": (
+        lambda: run_error_vs_position(FIG1B, 3, n_jobs=True), "n_jobs"
+    ),
+    "discordance_matrix float n_jobs": (lambda: discordance_matrix(M, n_jobs=1.5), "n_jobs"),
+    "discordance_matrix zero n_jobs": (lambda: discordance_matrix(M, n_jobs=0), "n_jobs"),
 }
 
 

@@ -112,6 +112,12 @@ def test_distribution_validation():
         DistSpec(kind="near_uniform", ratio=0.5).validate()
     with pytest.raises(ValueError):
         DistSpec(kind="wrong").validate()
+    # a uniform spec is written as its kind alone, so a ratio or cell count
+    # it carried would not come back from JSON
+    for spec in (DistSpec("uniform", ratio=3.0, cells=5), DistSpec(ratio=2.0), DistSpec(cells=4)):
+        with pytest.raises(ValueError, match="uniform"):
+            ModelConfig(n_agents=3, n_alternatives=3, dist_x=spec).validate()
+    DistSpec(ratio=1, cells=8).validate()  # the defaults, spelled out
     with pytest.raises(ValueError):
         ModelConfig(n_agents=0, n_alternatives=3).validate()
     with pytest.raises(ValueError):
