@@ -13,7 +13,6 @@ from .agents import (
 )
 from .alternatives import (
     CandidateSet,
-    HalfStat,
     alt_neighbors,
     candidate_set,
     half_stat,
@@ -44,7 +43,6 @@ from .kendall import (
 )
 from .latent import (
     DistSpec,
-    LatentPoint,
     ModelConfig,
     Population,
     pairwise_prob,

@@ -38,17 +38,6 @@ class CandidateSet:
             raise ValueError("candidate set must contain its query")
 
 
-@dataclass(frozen=True)
-class HalfStat:
-    """Fraction of agents ranking two alternatives in the same half."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("half statistic must lie in [0, 1]")
-
-
 def sign_distance(matrix: np.ndarray, a: int, b: int) -> float:
     """Absolute mean of the per-agent preference sign between two alternatives.
 
@@ -135,11 +124,11 @@ def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
     return same / counts
 
 
-def half_stat(matrix: np.ndarray, a: int, b: int) -> HalfStat:
+def half_stat(matrix: np.ndarray, a: int, b: int) -> float:
     """Fraction of co-ranking agents placing ``a`` and ``b`` in the same half."""
     matrix = _matrix(matrix)
     a, b = (_id(x, matrix.shape[1], "alternative index") for x in (a, b))
-    return HalfStat(value=float(_half_stats(matrix, a, [b])[0]))
+    return float(_half_stats(matrix, a, [b])[0])
 
 
 def two_means_1d(values) -> tuple[np.ndarray, np.ndarray]:

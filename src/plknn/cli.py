@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import global_knn, kt_knn, oracle_knn
+from .agents import METHODS, global_knn, kt_knn, oracle_knn
 from .alternatives import candidate_set, split_step
 from .experiments import (
     ExperimentConfig,
@@ -38,6 +38,14 @@ from .theory import (
 EXIT_OK = 0
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
+
+# ``plknn verify`` targets: name -> report of the seed (None for the default)
+VERIFY_TARGETS = {
+    "theorem-bias": lambda seed: verify_theorem_bias(),
+    "example-1": lambda seed: verify_example_one(),
+    "agent-bounds": lambda seed: agent_bound_check(seed=seed or 0),
+    "item-bounds": lambda seed: item_bound_check(seed=seed or 0),
+}
 
 
 def _load_model_config(path: str, seed: int | None) -> ModelConfig:
@@ -76,26 +84,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_knn(args) -> int:
     cfg = _load_model_config(args.config, args.seed)
     if (args.k is None) == (args.eps is None):
-        print("error: specify exactly one of --k or --eps", file=sys.stderr)
-        return EXIT_FAILED
+        raise ValueError("specify exactly one of --k or --eps")
     if args.eps is not None and args.method != "global_knn":
-        print("error: --eps is only meaningful for global_knn", file=sys.stderr)
-        return EXIT_FAILED
+        raise ValueError("--eps is only meaningful for global_knn")
 
     pop = sample_population(cfg)
     query = args.query
     if args.coords is not None:
         coords = np.array([float(v) for v in args.coords.split(",")], dtype=float)
         if coords.size != cfg.dim:
-            print(f"error: expected {cfg.dim} coordinates", file=sys.stderr)
-            return EXIT_FAILED
+            raise ValueError(f"expected {cfg.dim} coordinates")
         pop = type(pop)(
             agents=np.vstack([pop.agents, coords[None, :]]), alternatives=pop.alternatives
         )
         query = pop.n_agents - 1
     elif query is None:
-        print("error: provide --query or --coords", file=sys.stderr)
-        return EXIT_FAILED
+        raise ValueError("provide --query or --coords")
 
     matrix = sample_rankings(pop, seed=cfg.seed)
     if args.method == "kt_knn":
@@ -161,14 +165,7 @@ def verify_exit_code(report: VerifyReport) -> int:
 
 def _cmd_verify(args) -> int:
     out = _out_dir(args)
-    if args.target == "theorem-bias":
-        report = verify_theorem_bias()
-    elif args.target == "example-1":
-        report = verify_example_one()
-    elif args.target == "agent-bounds":
-        report = agent_bound_check(seed=args.seed or 0)
-    else:
-        report = item_bound_check(seed=args.seed or 0)
+    report = VERIFY_TARGETS[args.target](args.seed)
     _write_verify_outputs(report, out)
     print(json.dumps(report.to_dict(), indent=2))
     return verify_exit_code(report)
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("knn", help="query agent neighbors")
-    p.add_argument("--method", required=True, choices=["kt_knn", "global_knn", "oracle"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--query", type=int, default=None, help="agent index")
     p.add_argument("--coords", default=None, help="comma-separated latent coordinates")
     p.add_argument("--k", type=int, default=None)
@@ -224,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_alt_sim)
 
     p = sub.add_parser("verify", help="run a numerical verification target")
-    p.add_argument(
-        "target", choices=["theorem-bias", "example-1", "agent-bounds", "item-bounds"]
-    )
+    p.add_argument("target", choices=VERIFY_TARGETS)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)

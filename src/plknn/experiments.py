@@ -13,7 +13,8 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,10 @@ import numpy as np
 from . import agents, rng
 from .agents import METHODS, sample_pairs
 from .kendall import FeatureMatrix, discordance_matrix, feature_matrix
-from .latent import ModelConfig, Population, _check_number, _Config, check_field_types
+from .latent import ModelConfig, Population, _check_number, _Config, _field_kinds, check_field_types
 from .latent import sample_population
 from .rankings import sample_rankings
 
-CSV_HEADER = "method,k,dim,seed,query_bin,error_mean,error_stderr,neighbor_dist_mean,config_hash"
 POSITION_BINS = 40
 
 
@@ -78,6 +78,7 @@ class ReportRow:
     neighbor_dist_mean: float
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.k < 1 or self.dim < 1:
@@ -86,10 +87,14 @@ class ReportRow:
             raise ValueError(f"query_bin must be in [0, {POSITION_BINS}), got {self.query_bin}")
         if self.error_mean is not None and not 0.0 <= self.error_mean <= 1.0:
             raise ValueError("error_mean must lie in [0, 1]")
-        if self.error_stderr is not None and not self.error_stderr >= 0:
-            raise ValueError("error_stderr must be nonnegative")
-        if not self.neighbor_dist_mean >= 0:
-            raise ValueError("neighbor distances are nonnegative")
+        # the CSV keeps 10 significant digits: above 1e308 they can round to inf
+        if self.error_stderr is not None and not 0 <= self.error_stderr < 1e308:
+            raise ValueError("error_stderr must be nonnegative and below 1e308")
+        if not 0 <= self.neighbor_dist_mean < 1e308:
+            raise ValueError("neighbor distances are nonnegative and below 1e308")
+
+
+CSV_HEADER = ",".join([*(f.name for f in fields(ReportRow)), "config_hash"])
 
 
 @dataclass(frozen=True)
@@ -116,65 +121,52 @@ class ExperimentReport:
         return best
 
 
-def _fmt(value) -> str:
+def _fmt(value, kind) -> str:
+    """One CSV field: empty for None, else cast to ``kind``; a float to 10 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+    return f"{float(value):.10g}" if kind is float else str(kind(value))
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(CSV_HEADER + "\n")
-        for row in report.rows:
-            row.validate()
-            fp.write(
-                ",".join(
-                    [
-                        row.method,
-                        str(row.k),
-                        str(row.dim),
-                        str(row.seed),
-                        _fmt(row.query_bin),
-                        _fmt(row.error_mean),
-                        _fmt(row.error_stderr),
-                        _fmt(row.neighbor_dist_mean),
-                        report.config_hash,
-                    ]
-                )
-                + "\n"
-            )
+    """Write ``report`` in one call once its rows, their presence (the config
+    hash lives only in them) and the hash pass: a refused one touches no file."""
+    check_field_types(report)
+    if not report.rows:
+        raise ValueError("a report needs at least one row to carry its config hash")
+    if "," in report.config_hash or "".join(report.config_hash.splitlines()) != report.config_hash:
+        raise ValueError(f"config hash {report.config_hash!r} holds a comma or a line break")
+    names, kinds = zip(*(f[:2] for f in _field_kinds(ReportRow)))
+    values = attrgetter(*names)
+    lines = [CSV_HEADER]
+    for row in report.rows:
+        row.validate()
+        lines.append(",".join([*map(_fmt, values(row), kinds), report.config_hash]))
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_report_csv(path) -> ExperimentReport:
+    """Read a ``write_report_csv`` file, each field parsed by its annotation
+    in ``ReportRow``; an empty field reads as None, which only ``T | None`` accepts."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized report header")
-    rows = []
-    hashes = set()
+    kinds, rows, hashes = [f[1] for f in _field_kinds(ReportRow)], [], set()
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        f = line.split(",")
+        *values, config_hash = line.split(",")
         try:
-            if len(f) != 9:
-                raise ValueError(f"expected 9 fields, got {len(f)}")
-            row = ReportRow(
-                method=f[0],
-                k=int(f[1]),
-                dim=int(f[2]),
-                seed=int(f[3]),
-                query_bin=int(f[4]) if f[4] else None,
-                error_mean=float(f[5]) if f[5] else None,
-                error_stderr=float(f[6]) if f[6] else None,
-                neighbor_dist_mean=float(f[7]),
-            )
+            if len(values) != len(kinds):
+                raise ValueError(f"expected {len(kinds) + 1} fields, got {len(values) + 1}")
+            row = ReportRow(*(kind(v) if v else None for kind, v in zip(kinds, values)))
             row.validate()
         except ValueError as exc:
             raise ValueError(f"report line {number}: {exc}") from None
         rows.append(row)
-        hashes.add(f[8])
+        hashes.add(config_hash)
+    if not rows:
+        raise ValueError("report file has no rows")
     if len(hashes) != 1:
         raise ValueError("report file mixes config hashes")
     return ExperimentReport(rows=tuple(rows), config_hash=hashes.pop())

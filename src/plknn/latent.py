@@ -21,36 +21,34 @@ import numpy as np
 
 from . import rng
 
-# A latent point is a 1-D float array of length dim with coords in [0, box].
-LatentPoint = np.ndarray
-
 _DIST_KINDS = ("uniform", "near_uniform")
-# resolving string annotations is slow; each config class is resolved once
-_type_hints = functools.cache(typing.get_type_hints)
 
 
-def config_keys(cls, data) -> dict:
-    """Copy of the JSON object ``data`` once its keys match the fields of ``cls``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in fields(cls)}
-    missing = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING} - set(data)
-    if unknown or missing:
-        raise ValueError(f"{cls.__name__} unknown: {sorted(unknown)}, missing: {sorted(missing)}")
-    return dict(data)
+@functools.cache  # resolving string annotations is slow: once per class
+def _field_kinds(cls) -> tuple[tuple[str, type, bool, tuple], ...]:
+    """(name, kind, sequence, accepted) per field of ``cls``: the T of ``T``,
+    ``tuple[T, ...]`` or ``T | None``, and the types a value may have: T, None
+    if allowed, any integral or real number for int or float (ABCs last: slower)."""
+    out = []
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        sequence, optional = typing.get_origin(hint) is tuple, type(None) in args
+        kind = args[0] if sequence or optional else hint
+        numbers = {int: (Integral,), float: (Real,)}.get(kind, ())
+        out.append((name, kind, sequence, (kind, *(type(None),) * optional, *numbers)))
+    return tuple(out)
 
 
 def check_field_types(config) -> None:
-    """Raise ValueError unless every field of the config dataclass holds its
-    annotated type: ``int`` and ``float`` accept any integral or real number
-    but not a bool, and a ``tuple[T, ...]`` field accepts a list."""
-    for name, hint in _type_hints(type(config)).items():
+    """Raise ValueError unless every field of the dataclass holds a type that
+    ``_field_kinds`` accepts (never a bool); a ``tuple[T, ...]`` field takes a list."""
+    for name, _, sequence, accepted in _field_kinds(type(config)):
         value = getattr(config, name)
-        sequence = typing.get_origin(hint) is tuple
-        kind = typing.get_args(hint)[0] if sequence else hint
-        kind = {int: Integral, float: Real}.get(kind, kind)
-        values = value if sequence else (value,)
-        if not isinstance(values, (tuple, list)) or not all(_is_kind(v, kind) for v in values):
+        if sequence:
+            ok = isinstance(value, (tuple, list)) and all(_is_kind(v, accepted) for v in value)
+        else:
+            ok = _is_kind(value, accepted)
+        if not ok:
             raise ValueError(f"{type(config).__name__}.{name} has the wrong type: {value!r}")
 
 
@@ -89,14 +87,21 @@ class _Config:
 
     @classmethod
     def from_dict(cls, data: dict):
-        data = config_keys(cls, data)
-        for name, hint in _type_hints(cls).items():
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+        if unknown or required - set(data):
+            missing = sorted(required - set(data))
+            raise ValueError(f"{cls.__name__} unknown: {sorted(unknown)}, missing: {missing}")
+        data = dict(data)
+        for name, kind, sequence, _ in _field_kinds(cls):
             if name not in data:  # a missing field takes the dataclass default
                 continue
-            if isinstance(hint, type) and issubclass(hint, _Config):
-                data[name] = hint.from_dict(data[name])
-            elif typing.get_origin(hint) is tuple and isinstance(data[name], list):
+            if sequence and isinstance(data[name], list):
                 data[name] = tuple(data[name])
+            elif issubclass(kind, _Config):
+                data[name] = kind.from_dict(data[name])
         config = cls(**data)
         config.validate()
         return config
@@ -251,7 +256,7 @@ def _as_points(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def utility(x: LatentPoint, y: LatentPoint) -> float:
+def utility(x: np.ndarray, y: np.ndarray) -> float:
     """RBF utility exp(-||x - y||_2); always in (0, 1] on a bounded box."""
     x, y = _as_points(x, y)
     return float(np.exp(-np.linalg.norm(x - y)))
@@ -264,7 +269,7 @@ def preference_prob(d1, d2):
     return 0.5 * (1.0 + np.tanh(0.5 * (d2 - d1)))
 
 
-def pairwise_prob(x: LatentPoint, y1: LatentPoint, y2: LatentPoint):
+def pairwise_prob(x: np.ndarray, y1: np.ndarray, y2: np.ndarray):
     """Ground-truth probability that the agent at ``x`` prefers ``y1`` to ``y2``.
 
     Equals u(x,y1) / (u(x,y1) + u(x,y2)): the two-alternative restriction of

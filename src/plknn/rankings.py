@@ -279,13 +279,14 @@ def positions_matrix(population: Population, seed: int, stream: str = "per_agent
 
 def write_rankings_csv(matrix: np.ndarray, path, seed: int) -> None:
     """One file per (n, m) positions matrix: a header naming n, m, seed, then
-    one row per agent: agent_id, alternative ids best-first."""
+    one row per agent: agent_id, alternative ids best-first. Written in one
+    call once every row passes: a refused input creates or truncates no file."""
+    matrix = _matrix(matrix)
+    _check_number(seed, "seed", 0, 2**64 - 1, integer=True)
     n, m = matrix.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(f"n={n},m={m},seed={seed}\n")
-        for i, row in enumerate(matrix):
-            order = _order(row)
-            fp.write(str(i) + "," + ",".join(str(int(j)) for j in order) + "\n")
+    lines = [f"n={n},m={m},seed={seed}"]
+    lines += [",".join(map(str, [i, *_order(row).tolist()])) for i, row in enumerate(matrix)]
+    Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def read_rankings_csv(path) -> tuple[np.ndarray, dict]:

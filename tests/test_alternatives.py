@@ -89,6 +89,14 @@ def test_candidate_set_trivial_threshold_and_monotonicity():
     assert candidate_set(rankings, 3, ell=np.float64(5.0)) == candidate_set(rankings, 3, ell=5)
 
 
+def test_candidate_set_keeps_a_sign_distance_of_exactly_one_over_ell():
+    # 3 of 4 agents rank 1 above 0: sign distance |-3 + 1| / 4 = 0.5 = 1/ell
+    # at ell = 2, which "at most 1/ell" keeps; 2 is always last (distance 1)
+    matrix = rank_matrix([[1, 0, 2], [1, 0, 2], [1, 0, 2], [0, 1, 2]])
+    assert sign_distance(matrix, 0, 1) == 0.5
+    assert candidate_set(matrix, 0, ell=2).members == (0, 1)
+
+
 def test_candidate_set_relabeling_symmetry():
     cfg = ModelConfig(n_agents=40, n_alternatives=10, dim=1, box=1.0, seed=6)
     matrix = sample_rankings(sample_population(cfg), seed=6)
@@ -107,12 +115,12 @@ def test_half_stat_basics():
         [0, 1, 2, 3],
         [3, 2, 1, 0],
     ])
-    assert half_stat(rankings, 0, 0).value == 1.0
+    assert half_stat(rankings, 0, 0) == 1.0
     # alternatives 0 and 1 share a half for both agents
-    assert half_stat(rankings, 0, 1).value == 1.0
+    assert half_stat(rankings, 0, 1) == 1.0
     # 0 and 2 never share a half
-    assert half_stat(rankings, 0, 2).value == 0.0
-    assert half_stat(rankings, 2, 0).value == half_stat(rankings, 0, 2).value
+    assert half_stat(rankings, 0, 2) == 0.0
+    assert half_stat(rankings, 2, 0) == half_stat(rankings, 0, 2)
     with pytest.raises(ValueError):
         half_stat(rank_matrix([[0, 1], [2, 3]]), 0, 2)
 
@@ -288,6 +296,16 @@ def test_split_cluster_single_cluster_near_center():
     _, matrix = _uniform_world(12, 20_000, 60, extra_alts=(0.5, 0.49, 0.51, 0.52, 0.48))
     cands = CandidateSet(query=0, members=(0, 1, 2, 3, 4), ell=4.0)
     assert split_cluster(matrix, 0, cands) == {0, 1, 2, 3, 4}
+
+
+def test_split_step_keeps_every_candidate_below_the_noise_threshold():
+    # 16 agents; 0 and 1 always share the first half, 0 and 2 in 10 of 16, so
+    # the centroid gap 1 - 0.625 = 0.375 lies between 1/sqrt(16) and the
+    # threshold 2/sqrt(16) = 0.5: the clusters are noise and all are kept
+    matrix = rank_matrix([[0, 1, 2, 3, 4, 5]] * 10 + [[0, 1, 3, 2, 4, 5]] * 6)
+    step = split_step(matrix, 0, CandidateSet(query=0, members=(0, 1, 2), ell=2.0))
+    assert step.stats.tolist() == [1.0, 0.625]
+    assert step.kept == {0, 1, 2}
 
 
 def test_split_cluster_drops_mirror_small_scale():

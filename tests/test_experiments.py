@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plknn import (
@@ -189,13 +189,90 @@ def test_csv_schema_and_hash_column(tmp_path):
 
 @pytest.mark.parametrize(
     "change, message",
-    [({"error_mean": 1.5}, "error_mean"), ({"neighbor_dist_mean": -5.6}, "nonnegative")],
+    [
+        ({"error_mean": 1.5}, "error_mean"),
+        ({"neighbor_dist_mean": -5.6}, "nonnegative"),
+        # these four once wrote a file that read_report_csv refused
+        ({"k": True}, "ReportRow.k has the wrong type"),
+        ({"k": 2.5}, "ReportRow.k has the wrong type"),
+        ({"dim": 1.0}, "ReportRow.dim has the wrong type"),
+        ({"seed": "x"}, "ReportRow.seed has the wrong type"),
+        # changes to the report: its config hash lives only in the rows
+        ({"rows": ()}, "at least one row"),
+        ({"config_hash": "a,b"}, "comma or a line break"),
+        ({"config_hash": "ab\n"}, "comma or a line break"),
+        ({"config_hash": 7}, "config_hash has the wrong type"),
+        ({"config_hash": "\ud800"}, "codec can't encode"),
+    ],
 )
 def test_write_report_refuses_an_invalid_row(tmp_path, change, message):
     row = ReportRow("kt_knn", 3, 1, 0, None, 0.1, 0.01, 0.5)
-    report = ExperimentReport(rows=(row, replace(row, **change)), config_hash="abc")
+    report = ExperimentReport(rows=(row, row), config_hash="abc")
+    if set(change) <= {"rows", "config_hash"}:
+        report = replace(report, **change)
+    else:
+        report = replace(report, rows=(row, replace(row, **change)))
+    # everything is checked before the file is opened: no file is created,
+    # and an existing one is left as it was
+    path = tmp_path / "report.csv"
     with pytest.raises(ValueError, match=message):
-        write_report_csv(report, tmp_path / "report.csv")
+        write_report_csv(report, path)
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=message):
+        write_report_csv(report, path)
+    assert path.read_text() == "kept\n"
+
+
+# a float field accepts any real number: written as a float, read back as one
+_ANY_FLOAT = st.floats() | st.integers(-3, 3) | st.fractions(-2, 2)
+_REPORT_ROWS = st.builds(
+    ReportRow,
+    method=st.sampled_from(METHODS),
+    k=st.integers(-1, 10**6) | st.integers(0, 50).map(np.int64),
+    dim=st.integers(-1, 50),
+    seed=st.integers(),
+    query_bin=st.none() | st.integers(-1, POSITION_BINS),
+    error_mean=st.none() | _ANY_FLOAT,
+    error_stderr=st.none() | _ANY_FLOAT,
+    neighbor_dist_mean=_ANY_FLOAT,
+)
+# a UTF-8 config hash without a comma or a line break (str.splitlines' characters)
+_HASHES = st.text(st.characters(
+    blacklist_categories=("Cs",),
+    blacklist_characters=",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+))
+
+
+def _is_valid(row) -> bool:
+    try:
+        row.validate()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=st.lists(_REPORT_ROWS, max_size=6), config_hash=_HASHES)
+def test_any_valid_report_reads_back_and_rewrites_to_the_same_bytes(
+    tmp_path_factory, rows, config_hash
+):
+    rows = tuple(row for row in rows if _is_valid(row))
+    assume(rows)
+    report = ExperimentReport(rows=rows, config_hash=config_hash)
+    path, again = (tmp_path_factory.mktemp("report") / name for name in ("a.csv", "b.csv"))
+    write_report_csv(report, path)
+    loaded = read_report_csv(path)
+    assert loaded.config_hash == config_hash and len(loaded.rows) == len(rows)
+    for got, want in zip(loaded.rows, rows):
+        assert (got.method, got.k, got.dim, got.seed, got.query_bin) == (
+            want.method, want.k, want.dim, want.seed, want.query_bin,
+        )
+        assert (got.error_mean is None, got.error_stderr is None) == (
+            want.error_mean is None, want.error_stderr is None,
+        )
+    write_report_csv(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_merge_refuses_mismatched_configs():
@@ -212,6 +289,10 @@ def test_read_report_rejects_mixed_hashes(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n" + row + "aaa\n" + row + "bbb\n")
     with pytest.raises(ValueError, match="mixes config hashes"):
+        read_report_csv(path)
+    # a header alone once read back as "mixes config hashes"
+    path.write_text(CSV_HEADER + "\n\n")
+    with pytest.raises(ValueError, match="report file has no rows"):
         read_report_csv(path)
     # a bad row is refused with its line number; the first three once read
     # back (k = -2 with a negative distance, an unknown method) or ended in

@@ -379,6 +379,16 @@ def test_rankings_csv_roundtrip(tmp_path):
     # one row per agent: agent id, alternative ids best-first
     lines = path.read_text().splitlines()
     assert lines[1] == "0," + ",".join(map(str, _order(matrix[0])))
+    # every row and the seed are checked before the file is opened: a refused
+    # write leaves an existing file as it was and creates no new one
+    written = path.read_bytes()
+    bad = matrix.copy()
+    bad[3] = -1  # agent 3 observes nothing
+    for args, message in [((bad, 2), "observed positions"), ((matrix, True), "seed must be")]:
+        for target in (path, tmp_path / "new.csv"):
+            with pytest.raises(ValueError, match=message):
+                write_rankings_csv(args[0], target, seed=args[1])
+        assert path.read_bytes() == written and not (tmp_path / "new.csv").exists()
 
 
 @pytest.mark.parametrize(
