@@ -1,13 +1,16 @@
 """Two-step alternative-neighbor algorithm: sign-statistic candidates, then
 split-cluster filtering of the mirror cluster.
 
-Everything here reads only the positions matrix's columns for the query
-alternative and its candidates; no global feature matrix is involved. Both
+Everything here reads only the positions matrix: a pair's statistic depends
+on its two columns (the half statistic also on each agent's number of
+observed alternatives); no global feature matrix is involved. Both
 statistics are integer counts summed over cache-sized row blocks of the
-matrix (``rankings._row_blocks``); the block size never changes a count. The
-filtering step assumes a 1-D latent geometry (the mirror point of y is the
-reflection through the box midpoint); in higher dimensions only the candidate
-stage is meaningful and callers should treat it as experimental.
+matrix (``rankings._row_blocks``); the block size never changes a count.
+Each block's boolean masks are built in place and counted for every column
+by one helper, ``_counts``. The filtering step assumes a 1-D latent geometry
+(the mirror point of y is the reflection through the box midpoint); in
+higher dimensions only the candidate stage is meaningful and callers should
+treat it as experimental.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ def sign_distance(matrix: np.ndarray, a: int, b: int) -> float:
     return value
 
 
+def _counts(mask: np.ndarray, axis: int) -> np.ndarray:
+    """True count of a 2-D boolean mask along ``axis``: its bytes summed into
+    int32, which holds any count of a row or of a block's column."""
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.int32)
+
+
 def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
     """Vector of sign distances from alternative ``a`` to every alternative.
 
@@ -65,9 +74,11 @@ def _sign_distance_columns(matrix: np.ndarray, a: int) -> np.ndarray:
     counts, above = np.zeros((2, matrix.shape[1]), dtype=np.int64)
     for rows in _row_blocks(*matrix.shape):
         block = matrix[rows]
-        pos_a, seen = block[:, a, None], block >= 0
-        counts += np.count_nonzero(seen & (pos_a >= 0), axis=0)
-        above += np.count_nonzero((pos_a > block) & seen, axis=0)  # pos_a > x >= 0: a observed
+        pos_a, mask = block[:, a, None], block >= 0
+        mask &= pos_a >= 0
+        counts += _counts(mask, 0)
+        mask &= pos_a > block  # pos_a > x >= 0: both observed, a ranked below x
+        above += _counts(mask, 0)
     with np.errstate(invalid="ignore"):
         out = np.abs(2 * above - counts) / counts
     out[counts == 0] = np.nan
@@ -86,12 +97,11 @@ def candidate_set(matrix: np.ndarray, a: int, ell: float) -> CandidateSet:
     return CandidateSet(query=a, members=tuple(sorted(members)), ell=float(ell))
 
 
-def _half_boundaries(matrix: np.ndarray) -> np.ndarray:
-    """Per-agent bound of the first half, as an (n, 1) column: an agent
-    observing s alternatives puts 0-based positions below ceil(s/2) in its
-    first half."""
-    sizes = np.count_nonzero(matrix >= 0, axis=1)
-    return ((sizes + 1) // 2)[:, None]
+def _half_boundaries(observed: np.ndarray) -> np.ndarray:
+    """Per-agent bound of the first half, as an (n, 1) int32 column, from the
+    (n, m) mask of observed entries: an agent observing s alternatives puts
+    0-based positions below ceil(s/2) in its first half."""
+    return ((_counts(observed, 1) + 1) // 2)[:, None]
 
 
 def _first_half(matrix: np.ndarray) -> np.ndarray:
@@ -100,25 +110,30 @@ def _first_half(matrix: np.ndarray) -> np.ndarray:
     For an agent observing s alternatives the first half is positions
     1..ceil(s/2) (1-based); unobserved entries are False.
     """
-    return (matrix >= 0) & (matrix < _half_boundaries(matrix))
+    observed = matrix >= 0
+    return observed & (matrix < _half_boundaries(observed))
 
 
 def _half_stats(matrix: np.ndarray, a: int, others) -> np.ndarray:
     """Half statistic of ``a`` against each alternative in ``others``: the
     fraction of the agents ranking both that put the two in the same half.
 
-    Only the columns of ``a`` and ``others`` are compared; each agent's half
-    boundary still counts every alternative it observes."""
-    counts, same = np.zeros((2, len(others)), dtype=np.int64)
+    Every column is counted, in one pass over each block's rows, and
+    ``others`` is picked out at the end; each agent's half boundary counts
+    every alternative it observes."""
+    counts, same = np.zeros((2, matrix.shape[1]), dtype=np.int64)
     for rows in _row_blocks(*matrix.shape):
         block = matrix[rows]
-        pos_a, pos = block[:, a, None], np.take(block, others, axis=1)
-        usable = (pos_a >= 0) & (pos >= 0)
-        counts += np.count_nonzero(usable, axis=0)
-        # the boundaries are per row, so blocks give the same ones; where both
-        # positions are observed, first-half membership is position < boundary
-        boundary = _half_boundaries(block)
-        same += np.count_nonzero(((pos_a < boundary) == (pos < boundary)) & usable, axis=0)
+        pos_a, usable = block[:, a, None], block >= 0
+        boundary = _half_boundaries(usable)  # per row: blocks give the same ones
+        usable &= pos_a >= 0
+        counts += _counts(usable, 0)
+        # where both positions are observed, first-half membership is position < boundary
+        same_half = block < boundary
+        same_half ^= pos_a >= boundary  # x < boundary exactly when pos_a < boundary
+        usable &= same_half
+        same += _counts(usable, 0)
+    counts, same = counts[others], same[others]
     if np.any(counts == 0):
         raise ValueError(f"no agent ranks both {a} and {others[int(np.argmin(counts))]}")
     return same / counts

@@ -66,6 +66,11 @@ class ExperimentConfig(_Config):
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def _below_1e308(value) -> bool:
+    """0 <= value < 1e308 as Python numbers (numpy casts 1e308 to a float32's type: overflow)."""
+    return 0 <= (value.item() if isinstance(value, np.generic) else value) < 1e308
+
+
 @dataclass(frozen=True)
 class ReportRow:
     method: str
@@ -88,9 +93,9 @@ class ReportRow:
         if self.error_mean is not None and not 0.0 <= self.error_mean <= 1.0:
             raise ValueError("error_mean must lie in [0, 1]")
         # the CSV keeps 10 significant digits: above 1e308 they can round to inf
-        if self.error_stderr is not None and not 0 <= self.error_stderr < 1e308:
+        if self.error_stderr is not None and not _below_1e308(self.error_stderr):
             raise ValueError("error_stderr must be nonnegative and below 1e308")
-        if not 0 <= self.neighbor_dist_mean < 1e308:
+        if not _below_1e308(self.neighbor_dist_mean):
             raise ValueError("neighbor distances are nonnegative and below 1e308")
 
 

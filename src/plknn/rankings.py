@@ -8,7 +8,7 @@ written down: ``rank_matrix``, the rankings CSV and ``exact_order_prob``.
 Sampling follows the sequential-choice model: at each step the next
 alternative is drawn from the remaining pool with probability proportional to
 its utility. The Gumbel-max sampler (rank by log-utility plus i.i.d. Gumbel
-noise) is the default because it is a single argsort; the sequential roulette
+noise) is the default because it is a single sort; the sequential roulette
 sampler realizes the product formula directly and the two are cross-checked
 in the tests. Inputs that name agents or alternatives, or hold positions,
 pass one rule, kept here: ``_integers`` (integer dtype, no bool in a list),
@@ -112,19 +112,35 @@ def _gumbel_keys(neg_log_util: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _row_orders(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, axis=1, kind="stable")``, with timsort run only on
-    the rows that need it.
+    """``np.argsort(keys, axis=1, kind="stable")`` of float64 ``keys`` (left
+    as they are), by one in-place float sort per row.
 
-    Every row is sorted by numpy's default (unstable, vectorized) kind first.
-    A row whose sorted keys are strictly increasing has distinct, non-NaN
-    keys, so its order is unique and any sort returns it; the others (equal
-    keys, NaN) are sorted again stably, which breaks ties by ascending index.
+    Each key's low b = ceil(log2 m) mantissa bits are overwritten by its
+    column index, the packed rows are sorted, and the order is read back from
+    those bits. Truncating low mantissa bits is monotone, so where a row's
+    truncated keys strictly increase along its sorted order, its keys are
+    distinct and in that order, the only one any sort returns. Every other
+    row is sorted again stably, ties by ascending index: equal keys, keys
+    closer than the truncation, -0 beside +0, an infinity at an index >= 1
+    (it packs to NaN). So is every row holding a NaN: a NaN whose payload is
+    only in the low bits packs to an infinity, and at index 0 to a first -inf.
     """
-    order = np.argsort(keys, axis=1)
-    ranked = np.sort(keys, axis=1)  # cheaper than gathering keys by ``order``
-    tied = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
-    if tied.size:
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    n, m = keys.shape
+    low = np.uint64((1 << (m - 1).bit_length()) - 1)
+    packed = keys.view(np.uint64) & ~low
+    packed |= np.arange(m, dtype=np.uint64)
+    packed.view(np.float64).sort(axis=1)
+    order = (packed & low).view(np.int64)
+    packed &= ~low  # the truncated keys, sorted
+    # rising[i, j]: truncated key j of sorted row i is below key j + 1, compared
+    # in one pass over the flat array; the last column compares across rows
+    flat = packed.view(np.float64).reshape(-1)
+    rising = np.empty((n, m), dtype=bool)
+    np.greater(flat[1:], flat[:-1], out=rising.reshape(-1)[:-1])
+    rising[:, -1] = True
+    if not rising.all() or np.isnan(keys.max()):  # look for the rows only if there are any
+        redo = ~rising.all(axis=1) | np.isnan(keys.max(axis=1))
+        order[redo] = np.argsort(keys[redo], axis=1, kind="stable")
     return order
 
 
@@ -258,6 +274,7 @@ def positions_matrix(population: Population, seed: int, stream: str = "per_agent
         raise ValueError("alternative list must be nonempty")
     batched_gen = rng.substream(seed, rng.RANKINGS) if stream == "batched" else None
     out = np.empty((n, m), dtype=np.int32)
+    values = None  # positions 0..m-1 per row, tiled once, for the first (largest) block
     for rows in _row_blocks(n, m):
         # np.linalg.norm(axis=2) without its copies: sqrt(add.reduce(diff * diff))
         diff = population.agents[rows, None, :] - population.alternatives[None, :, :]
@@ -272,8 +289,9 @@ def positions_matrix(population: Population, seed: int, stream: str = "per_agent
                 u[i - rows.start] = rng.substream(seed, rng.RANKINGS, i).random(m)
         order = _row_orders(_gumbel_keys(dists, u))
         order += np.arange(0, order.size, m)[:, None]
-        # a full-size value array scatters about twice as fast as a broadcast row
-        out[rows].reshape(-1)[order] = np.tile(np.arange(m, dtype=np.int32), (len(order), 1))
+        if values is None:  # a full-size value array scatters twice as fast as a broadcast row
+            values = np.tile(np.arange(m, dtype=np.int32), (len(order), 1))
+        out[rows].reshape(-1)[order] = values[: len(order)]
     return out
 
 

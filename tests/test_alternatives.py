@@ -226,6 +226,16 @@ def test_blocked_statistics_equal_their_float_references(n, m, hidden, seed, row
         _assert_statistics_equal_references(matrix)
 
 
+def test_statistics_count_past_255_rows_in_one_block():
+    # the counts sum the bytes of boolean blocks into int32: with 3000 rows in
+    # one block the co-ranking counts pass 1000 and would wrap in a byte
+    matrix = _partial_matrix(7, 3000, 12, 0.3)
+    assert len(list(_row_blocks(*matrix.shape))) == 1
+    co_ranked = (matrix[:, :, None] >= 0) & (matrix[:, None, :] >= 0)
+    assert co_ranked.sum(axis=0)[~np.eye(12, dtype=bool)].max() > 1000
+    _assert_statistics_equal_references(matrix)
+
+
 def test_candidate_threshold_drops_far_alternatives_across_blocks(monkeypatch):
     # a planted world on a box of width 5 in which the threshold does work:
     # the expected sign distance is about 0 for the near and the mirror

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,19 @@ def test_any_valid_report_reads_back_and_rewrites_to_the_same_bytes(
         )
     write_report_csv(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float16])
+def test_validate_reads_narrow_numpy_floats_without_a_warning(kind):
+    # 1e308 cast to a float32 or float16 overflowed with a RuntimeWarning
+    row = ReportRow("kt_knn", 3, 1, 0, None, kind(0.25), kind(0.01), kind(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row.validate()
+        for field, name in (("error_stderr", "error_stderr"), ("neighbor_dist_mean", "neighbor")):
+            for bad in (kind(-1.0), kind(np.inf)):
+                with pytest.raises(ValueError, match=f"{name}.* below 1e308"):
+                    replace(row, **{field: bad}).validate()
 
 
 def test_merge_refuses_mismatched_configs():

@@ -68,6 +68,9 @@ ARRAY_DIGESTS = {
     "feature_matrix": "f4f35268d5cefb1f38f813cd75af71f4b872a0cb7a7dfad8b64fd8d7b53fb298",
     "positions_matrix per_agent": "4b471c2a6d2c05f659a7aee682aa949781c8b378331bd9c79f203b845ba880e9",
     "positions_matrix batched": "75965ae351268e66de90cf80e1cda995f56bf068bc9f552265c2a1bc0ea395f0",
+    "positions_matrix per_agent m=129": "1a77a8874ae7f0a515baaf77cea8a2d24801f0a35803b3d59c5d2202d65f1470",
+    "positions_matrix batched m=129": "a68689ef2ee46f75d8ce874852ecbeb0d1e36a7bda970476d67d1eae014dc790",
+    "positions_matrix batched dim 9": "57874c2d6564c8627e54210f9c29f47a548fd3e7759ae4fe456b7980425c8694",
     "alternative neighbors": "552d06d2e0e31794d8ab29273a9b4f4b476fde18dd3ad0147982771b169ead06",
 }
 VERIFY_DIGESTS = {
@@ -176,6 +179,22 @@ def test_positions_matrix_pinned(stream):
     pop = sample_population(ModelConfig(n_agents=1500, n_alternatives=50, dim=1, box=5.0, seed=0))
     assert len(list(_row_blocks(1500, 50))) == 2  # the rows cross a block boundary
     artifact = f"positions_matrix {stream}"
+    matrix = positions_matrix(pop, seed=0, stream=stream)
+    _assert_bytes(matrix.tobytes(), ARRAY_DIGESTS[artifact], artifact)
+
+
+@pytest.mark.parametrize(
+    "artifact, stream, n, m, dim",
+    [
+        # 129 alternatives need one index bit more than 128 in the sort keys
+        ("positions_matrix per_agent m=129", "per_agent", 600, 129, 1),
+        ("positions_matrix batched m=129", "batched", 600, 129, 1),
+        ("positions_matrix batched dim 9", "batched", 1200, 60, 9),
+    ],
+)
+def test_positions_matrix_pinned_at_other_shapes(artifact, stream, n, m, dim):
+    pop = sample_population(ModelConfig(n_agents=n, n_alternatives=m, dim=dim, box=5.0, seed=0))
+    assert len(list(_row_blocks(n, m))) == 2
     matrix = positions_matrix(pop, seed=0, stream=stream)
     _assert_bytes(matrix.tobytes(), ARRAY_DIGESTS[artifact], artifact)
 

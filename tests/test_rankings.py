@@ -298,8 +298,15 @@ def test_positions_matrix_distances_equal_linalg_norm(monkeypatch, dim):
         assert np.array_equal(np.concatenate(seen), _distances(pop))
 
 
+def _float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# NaNs whose payload lies only in the lowest mantissa bit, of both signs
+_LOW_NANS = [_float(0x7FF0000000000001), _float(0xFFF0000000000001)]
 _TIE_PRONE = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan, *_LOW_NANS]),
+    st.sampled_from([5e-324, -5e-324, 1e-310, np.nextafter(1.0, 2.0), np.nextafter(-1.0, 0.0)]),
     st.floats(-2.0, 2.0),
 )
 
@@ -314,6 +321,41 @@ def test_row_orders_equal_a_stable_argsort(data):
     values = data.draw(st.lists(_TIE_PRONE, min_size=rows * cols, max_size=rows * cols))
     keys = np.array(values, dtype=float).reshape(rows, cols)
     assert np.array_equal(_row_orders(keys.copy()), np.argsort(keys, axis=1, kind="stable"))
+
+
+def _ulp_chain(start: float, m: int) -> np.ndarray:
+    """m keys from ``start`` upward, each one ulp above the last."""
+    chain = [start]
+    for _ in range(m - 1):
+        chain.append(np.nextafter(chain[-1], math.inf))
+    return np.array(chain)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 127, 128, 129, 1025])
+def test_row_orders_equal_a_stable_argsort_on_packing_edge_cases(m):
+    # the sort packs each column index into the low ceil(log2 m) mantissa bits
+    # of its key: keys that differ only there, NaNs whose payload is only
+    # there, infinities whose packed index makes them NaN, subnormals and
+    # signed zeros all come out as the stable sort orders them, and rows of
+    # distinct keys in the same block keep their unique order
+    gen = np.random.default_rng(m)
+    shuffle = gen.permutation(m)
+    rows = [
+        gen.normal(size=m),
+        _ulp_chain(1.0, m)[shuffle],
+        _ulp_chain(-1.0, m)[shuffle],
+        _ulp_chain(-5e-324 * (m // 2), m)[shuffle],  # subnormals on both sides of -0
+        gen.choice([0.0, -0.0], size=m),
+    ]
+    for special in (*_LOW_NANS, math.nan, math.inf, -math.inf):
+        for at in {0, m // 2, m - 1}:
+            row = gen.normal(size=m)
+            row[at] = special
+            rows.append(row)
+    keys = np.array(rows)
+    before = keys.copy()
+    assert np.array_equal(_row_orders(keys), np.argsort(before, axis=1, kind="stable"))
+    assert np.array_equal(keys.view(np.uint64), before.view(np.uint64))  # left as it was
 
 
 def test_row_orders_break_ties_by_index():
