@@ -15,7 +15,7 @@ import numpy as np
 
 from .kendall import FeatureMatrix, _discordances, agent_distances_from
 from .latent import Population, _check_number, pairwise_prob
-from .rankings import _id, _ids, _integers, _matrix
+from .rankings import _id, _id_or_ids, _ids, _integers, _matrix
 
 METHODS = ("kt_knn", "global_knn", "oracle")
 
@@ -66,25 +66,30 @@ def _check_query(n: int, query, k=None, eps=None) -> int:
     return query
 
 
-def neighbor_order(distances: np.ndarray, query: int, count: int) -> np.ndarray:
+def neighbor_order(distances: np.ndarray, query, count: int) -> np.ndarray:
     """Indices of the min(count, n - 1) smallest distances, nearest first,
-    query excluded, ties broken by ascending index."""
-    n = distances.size
-    order = np.lexsort((np.arange(n), distances))
-    return order[order != query][: min(count, n - 1)]
+    query excluded, ties broken by ascending index. For (B, n) distances and
+    B queries, one such row per query."""
+    n = distances.shape[-1]
+    order = np.argsort(distances, axis=-1, kind="stable")  # stable: ties by ascending index
+    kept = order[order != np.asarray(query)[..., None]]  # each row holds its query once
+    return kept.reshape(order.shape[:-1] + (n - 1,))[..., : min(count, n - 1)]
 
 
-def global_distances(features: FeatureMatrix, query: int) -> np.ndarray:
-    """Global-feature agent distances from the query (inf at the query)."""
+def global_distances(features: FeatureMatrix, query) -> np.ndarray:
+    """Global-feature agent distances from the query (inf at the query); one
+    row per query for a 1-D sequence of queries."""
     d = agent_distances_from(features, query)
     return np.where(np.isnan(d), np.inf, d)
 
 
-def oracle_distances(population: Population, query: int) -> np.ndarray:
-    """Latent Euclidean distances from the query agent (inf at the query)."""
-    query = _id(query, population.n_agents, "query agent index")
-    d = np.linalg.norm(population.agents - population.agents[query], axis=1)
-    d[query] = np.inf
+def oracle_distances(population: Population, query) -> np.ndarray:
+    """Latent Euclidean distances from the query agent (inf at the query);
+    one row per query for a 1-D sequence of queries."""
+    query = _id_or_ids(query, population.n_agents, "query agent index")
+    x = population.agents
+    d = np.linalg.norm(x - x[query, None], axis=-1)
+    d.reshape(-1, len(x))[np.arange(np.size(query)), query] = np.inf  # each row's query
     return d
 
 
@@ -152,9 +157,10 @@ def _check_pairs(pair_sample, m: int) -> np.ndarray:
 
 
 def sample_pairs(m: int, count: int, generator: np.random.Generator) -> np.ndarray:
-    """(count, 2) array of uniformly sampled distinct alternative pairs."""
-    if m < 2:
-        raise ValueError(f"distinct pairs need m >= 2 alternatives, got m={m}")
+    """(count, 2) array of uniformly sampled distinct alternative pairs; m
+    must be an integer >= 2 and count an integer >= 1."""
+    _check_number(m, "m", 2, integer=True)
+    _check_number(count, "count", 1, integer=True)
     a = generator.integers(0, m, size=count)
     b = generator.integers(0, m - 1, size=count)
     b = np.where(b >= a, b + 1, b)
@@ -189,11 +195,12 @@ def prediction_error(
     return float(np.mean(np.abs(votes - truth)))
 
 
-def true_probabilities(population: Population, query: int, pair_sample: np.ndarray) -> np.ndarray:
-    """Ground-truth probability that the query prefers a to b, per sampled pair (a, b)."""
-    query = _id(query, population.n_agents, "query agent index")
-    y = population.alternatives[pair_sample]
-    return pairwise_prob(population.agents[query], y[:, 0], y[:, 1])
+def true_probabilities(population: Population, query, pair_sample: np.ndarray) -> np.ndarray:
+    """Ground-truth probability that the query prefers a to b, per sampled pair
+    (a, b); for B queries, (B, P, 2) pairs give one row of P per query."""
+    query = _id_or_ids(query, population.n_agents, "query agent index")
+    y = population.alternatives[pair_sample]  # (..., P, 2, dim)
+    return pairwise_prob(population.agents[query, None], y[..., 0, :], y[..., 1, :])
 
 
 def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> np.ndarray:
@@ -210,21 +217,28 @@ def vote_probabilities(matrix: np.ndarray, members, pair_sample: np.ndarray) -> 
     return prefer[0, 0] / usable[0, 0]
 
 
-def _vote_counts(columns: np.ndarray, pairs: np.ndarray, orders, sizes):
-    """Exact float64 counts ``(prefer, usable)``, shaped (len(orders), len(sizes), P):
+def _vote_counts(columns: np.ndarray, pairs: np.ndarray, orders, sizes, full: bool = False):
+    """Exact counts ``(prefer, usable)`` as float64, shaped (len(orders), len(sizes), P):
     of the first ``sizes[t]`` agents of ``orders[i]`` (no repeats), those ranking
     pair p's a above b and those observing both (last axis 1 when no -1 is read),
-    read from ``columns``, the positions matrix transposed to (m, n)."""
-    pos_a, pos_b = columns[pairs[:, 0]], columns[pairs[:, 1]]
-    prefer, observed = pos_a < pos_b, None
-    if min(pos_a.min(initial=0), pos_b.min(initial=0)) < 0:  # an unobserved (-1) entry
-        observed = (pos_a >= 0) & (pos_b >= 0)
+    read from ``columns``, the positions matrix transposed to (m, n). ``full``
+    says the caller has checked that ``columns`` holds no -1, and skips the scan.
+
+    The product runs in float32 for fewer than 2**24 agents: every partial sum
+    of its 0/1 terms is an integer below 2**24, which a float32 holds exactly.
+    At 2**24 agents or more it runs in float64."""
+    pos = columns[pairs.T]  # (2, P, n): both pair columns in one gather
+    prefer, observed = pos[0] < pos[1], None
+    if not full and pos.min(initial=0) < 0:  # an unobserved (-1) entry
+        observed = (pos[0] >= 0) & (pos[1] >= 0)
         prefer &= observed
-    del pos_a, pos_b  # once they are freed, the float64 copy below allocates faster
+    del pos  # once it is freed, the float copy below allocates faster
+    dtype = np.float32 if columns.shape[1] < 2**24 else np.float64
     t = len(sizes)
-    select = np.zeros((columns.shape[1], len(orders) * t))
+    select = np.zeros((columns.shape[1], len(orders) * t), dtype)
     for i, order in enumerate(orders):
         select[order, i * t : (i + 1) * t] = np.arange(len(order))[:, None] < sizes
-    counts = select.T @ prefer.astype(np.float64).T  # one product for every order and size
-    usable = select.sum(axis=0) if observed is None else select.T @ observed.astype(np.float64).T
-    return counts.reshape(len(orders), t, -1), usable.reshape(len(orders), t, -1)
+    counts = select.T @ prefer.astype(dtype).T  # one product for every order and size
+    usable = select.sum(axis=0) if observed is None else select.T @ observed.astype(dtype).T
+    shape = (len(orders), t, -1)
+    return counts.reshape(shape).astype(np.float64), usable.reshape(shape).astype(np.float64)

@@ -2,9 +2,10 @@
 high-dimensional neighbor-distance sweep.
 
 Every agent serves once as the query; the query's own ranking feeds the
-distance computations a method needs but never votes. Queries execute
-independently (optionally across a thread pool) and their results come back
-in query order, so the emitted CSV bytes are identical for any worker count.
+distance computations a method needs but never votes. Queries execute in
+contiguous blocks (optionally across a thread pool) and their results come
+back in query order; a query's result does not depend on its block, so the
+emitted CSV bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .agents import METHODS, sample_pairs
 from .kendall import FeatureMatrix, discordance_matrix, feature_matrix
 from .latent import ModelConfig, Population, _check_number, _Config, _field_kinds, check_field_types
 from .latent import sample_population
-from .rankings import sample_rankings
+from .rankings import _row_blocks, sample_rankings
 
 POSITION_BINS = 40
 
@@ -210,48 +211,74 @@ def _build_context(
     )
 
 
-def _method_distances(ctx: _SeedContext, method: str, q: int) -> np.ndarray:
+def _method_distances(ctx: _SeedContext, method: str, queries: np.ndarray) -> np.ndarray:
+    """(len(queries), n) distances under ``method``, inf at each row's query."""
     if method == "kt_knn":
-        d = ctx.discordance[q].astype(float)
-        d[q] = np.inf
+        d = ctx.discordance[queries].astype(float)
+        d[np.arange(len(queries)), queries] = np.inf
         return d
     if method == "global_knn":
-        return agents.global_distances(ctx.features, q)
-    return agents.oracle_distances(ctx.population, q)  # methods are checked by the config
+        return agents.global_distances(ctx.features, queries)
+    return agents.oracle_distances(ctx.population, queries)  # methods are checked by the config
 
 
 def _query_errors(
-    ctx: _SeedContext, q: int, methods, k_grid, pair_count: int
-) -> dict[tuple[str, int], tuple[float, float]]:
-    """Per (method, k): (prediction error, mean latent distance of neighbors)."""
-    pairs = sample_pairs(
-        ctx.population.n_alternatives, pair_count, rng.substream(ctx.seed, rng.PAIR_SAMPLE, q)
-    )
-    truth = agents.true_probabilities(ctx.population, q, pairs)
-    latent = agents.oracle_distances(ctx.population, q)
+    ctx: _SeedContext, queries, methods, k_grid, pair_count: int
+) -> list[dict[tuple[str, int], tuple[float, float]]]:
+    """Per query of the block ``queries``, per (method, k): (prediction error,
+    mean latent distance of neighbors). Pairs, truth, distances and neighbor
+    orders are made once for the block; each query's pairs come from its own
+    substream, so a query's result does not depend on its block."""
+    queries = np.asarray(queries)
+    pairs = np.stack([
+        sample_pairs(ctx.population.n_alternatives, pair_count,
+                     rng.substream(ctx.seed, rng.PAIR_SAMPLE, q))
+        for q in queries
+    ])
+    truth = agents.true_probabilities(ctx.population, queries, pairs)  # (B, P)
+    latent = agents.oracle_distances(ctx.population, queries)  # (B, n)
     sizes = np.minimum(k_grid, ctx.population.n_agents - 1)  # neighbors voting at each k
-    dists = [latent if m == "oracle" else _method_distances(ctx, m, q) for m in methods]
+    dists = [latent if m == "oracle" else _method_distances(ctx, m, queries) for m in methods]
     # no k votes with more neighbors than the largest k
-    orders = [agents.neighbor_order(dist, q, max(k_grid)) for dist in dists]
-    prefer, usable = agents._vote_counts(ctx.columns, pairs, orders, sizes)
-    votes = prefer / usable
-    out: dict[tuple[str, int], tuple[float, float]] = {}
-    for method, order, method_votes in zip(methods, orders, votes):
-        cum_dist = np.cumsum(latent[order])
-        for k, kk, vote in zip(k_grid, sizes, method_votes):
-            err = float(np.mean(np.abs(vote - truth)))
-            out[(method, k)] = (err, float(cum_dist[kk - 1] / kk))
+    orders = [agents.neighbor_order(dist, queries, max(k_grid)) for dist in dists]
+    # (method, B, len(k_grid)) mean latent distance of the sizes[t] nearest
+    near = np.array([
+        np.cumsum(np.take_along_axis(latent, order, axis=1), axis=1)[:, sizes - 1] / sizes
+        for order in orders
+    ])
+    out = []
+    for b in range(len(queries)):
+        prefer, usable = agents._vote_counts(  # _SeedContext refuses -1 entries
+            ctx.columns, pairs[b], [order[b] for order in orders], sizes, full=True
+        )
+        votes = np.divide(prefer, usable, out=prefer)
+        votes -= truth[b]
+        # the mean reduces over the contiguous pair axis, as for one vote at a time
+        errors = np.abs(votes, out=votes).mean(axis=-1).tolist()
+        out.append({
+            (method, k): (errors[i][t], near[i, b, t].item())
+            for i, method in enumerate(methods)
+            for t, k in enumerate(k_grid)
+        })
     return out
 
 
 def _map_queries(ctx, queries, methods, k_grid, pair_count, n_jobs):
-    def work(q):
-        return _query_errors(ctx, q, methods, k_grid, pair_count)
+    """Per-query stats in query order, from contiguous blocks of the queries:
+    max(1, rankings._BLOCK // max(P, n * n)) queries per block, which bounds a
+    block's (B, P) truth and its (B, n, n) global-distance temporary."""
+    n = ctx.population.n_agents
+    blocks = [queries[s] for s in _row_blocks(len(queries), max(pair_count, n * n))]
+
+    def work(block):
+        return _query_errors(ctx, block, methods, k_grid, pair_count)
 
     if n_jobs is None or n_jobs <= 1:
-        return [work(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(work, queries))
+        done = [work(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            done = list(pool.map(work, blocks))
+    return [stats for block in done for stats in block]
 
 
 def _sweep(cfg: ExperimentConfig, models, k_grid, pair_count: int, n_jobs: int | None):
@@ -291,9 +318,10 @@ def _summary_row(
 
 def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> ExperimentReport:
     """Error and neighbor-distance summary per (method, k, seed); every agent
-    serves once as the query and errors are averaged over queries. Each of the
-    ``n_jobs`` query threads' vote products starts OpenBLAS threads of its
-    own, so with ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1``."""
+    serves once as the query and errors are averaged over queries. The
+    queries run in contiguous blocks, one block per thread at a time, and
+    each query's vote product in a block starts OpenBLAS threads of its own,
+    so with ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1``."""
     cfg.validate()
     rows = [
         _summary_row(per_query, method, k, dim, seed)
@@ -309,8 +337,9 @@ def run_error_vs_k(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experime
 def run_error_vs_position(
     cfg: ExperimentConfig, k: int, n_jobs: int | None = None
 ) -> ExperimentReport:
-    """Errors at a fixed k, binned by the query's latent position. With
-    ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1`` (see ``run_error_vs_k``)."""
+    """Errors at a fixed k, binned by the query's latent position. Each
+    block's vote products start OpenBLAS threads, so with ``n_jobs > 1`` set
+    ``OPENBLAS_NUM_THREADS=1`` (see ``run_error_vs_k``)."""
     cfg.validate()
     if cfg.model.dim != 1:
         raise ValueError("position binning is defined for dim = 1")
@@ -332,7 +361,8 @@ def run_dim_sweep(cfg: ExperimentConfig, n_jobs: int | None = None) -> Experimen
 
     For dimension d the box edge is scaled to box / sqrt(d), keeping the
     diameter of the support comparable across dimensions. Prediction-error
-    columns are left empty. With ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1``.
+    columns are left empty. Each block's vote products start OpenBLAS
+    threads, so with ``n_jobs > 1`` set ``OPENBLAS_NUM_THREADS=1``.
     """
     cfg.validate()
     if not cfg.dims:

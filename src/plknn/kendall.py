@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .latent import _check_number
-from .rankings import _id, _integers, _matrix, _order, _row_blocks
+from .rankings import _id, _id_or_ids, _integers, _matrix, _order, _row_blocks
 
 _UNRESOLVED = object()
 # scipy's compiled kernel once resolved; None selects the public statistic
@@ -308,15 +308,17 @@ def agent_distance(features: FeatureMatrix, i: int, j: int) -> float:
     return float(diff[mask].mean())
 
 
-def agent_distances_from(features: FeatureMatrix, i: int) -> np.ndarray:
-    """Vector of agent_distance(features, i, j) for all j (NaN at i)."""
+def agent_distances_from(features: FeatureMatrix, i) -> np.ndarray:
+    """Vector of agent_distance(features, i, j) for all j (NaN at i); for a
+    1-D sequence of agents i, one such row per agent."""
     n = features.n_agents
-    i = _id(i, n, "agent i")
+    i = _id_or_ids(i, n, "agent i")
+    rows, block = np.atleast_1d(i), np.arange(np.size(i))
     vals = features.values
-    diff = np.abs(vals[i][None, :] - vals)  # (n, n)
+    diff = np.abs(vals[rows][:, None, :] - vals)  # (len(rows), n, n)
     # remove the i and j columns from each row's mean
-    total = diff.sum(axis=1) - diff[:, i] - np.diag(diff)
+    total = diff.sum(axis=2) - diff[block, :, rows] - np.diagonal(diff, axis1=1, axis2=2)
     out = total / (n - 2)
-    out[i] = np.nan
-    return out
+    out[block, rows] = np.nan
+    return out if np.ndim(i) else out[0]
 

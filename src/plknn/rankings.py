@@ -12,7 +12,8 @@ noise) is the default because it is a single sort; the sequential roulette
 sampler realizes the product formula directly and the two are cross-checked
 in the tests. Inputs that name agents or alternatives, or hold positions,
 pass one rule, kept here: ``_integers`` (integer dtype, no bool in a list),
-``_ids`` (int64 ids in [0, bound); ``_id`` for one) and ``_matrix`` (2-D).
+``_ids`` (int64 ids in [0, bound); ``_id`` for one, ``_id_or_ids`` for one
+or a 1-D run of them) and ``_matrix`` (2-D).
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def _ids(values, bound: int, what: str, ndim: int | None = None) -> np.ndarray:
 def _id(value, bound: int, what: str) -> int:
     """One id (a query, an agent, an alternative) by the rule of ``_ids``."""
     return int(_ids(value, bound, what, ndim=0))
+
+
+def _id_or_ids(value, bound: int, what: str):
+    """One id as an int (``_id``), or a 1-D sequence of them as int64 ids (``_ids``)."""
+    ids = _ids(value, bound, what)
+    if ids.ndim > 1:
+        raise ValueError(f"{what} must be one id or a 1-D sequence of ids, got shape {ids.shape}")
+    return ids if ids.ndim else int(ids)
 
 
 def _matrix(matrix) -> np.ndarray:

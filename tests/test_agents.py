@@ -19,7 +19,14 @@ from plknn import (
     sample_rankings,
 )
 from plknn import rng
-from plknn.agents import _vote_counts, vote_probabilities
+from plknn.agents import (
+    _vote_counts,
+    global_distances,
+    neighbor_order,
+    oracle_distances,
+    true_probabilities,
+    vote_probabilities,
+)
 from plknn.kendall import agent_distances_from
 
 from _harness import bias_witness
@@ -54,6 +61,30 @@ def test_oracle_knn_matches_brute_force(small_world):
             (j for j in range(pop.n_agents) if j != q), key=lambda j: (d[j], j)
         )[:k]
         assert list(ns.members) == brute
+
+
+def test_query_blocks_equal_one_query_at_a_time():
+    # the block forms of the distances, the truth and the neighbor order give
+    # each query's row bit for bit, in dims 1 and 3, with a tied distance
+    for dim in (1, 3):
+        pop = sample_population(ModelConfig(n_agents=12, n_alternatives=30, dim=dim, seed=dim))
+        feats = feature_matrix(sample_rankings(pop, seed=dim), pairing_seed=dim)
+        queries = np.array([4, 0, 11, 4])
+        pairs = np.stack([sample_pairs(30, 25, rng.substream(dim, rng.PAIR_SAMPLE, q)) for q in queries])
+        truth = true_probabilities(pop, queries, pairs)
+        latent = oracle_distances(pop, queries)
+        rows = agent_distances_from(feats, queries)  # NaN at each row's query
+        glob = global_distances(feats, queries)
+        for b, q in enumerate(queries):
+            assert truth[b].tolist() == true_probabilities(pop, q, pairs[b]).tolist()
+            assert latent[b].tolist() == oracle_distances(pop, q).tolist()
+            np.testing.assert_array_equal(rows[b], agent_distances_from(feats, q))
+            assert glob[b].tolist() == global_distances(feats, q).tolist()
+        glob[:, 7] = glob[:, 9]  # a tie, broken by ascending index
+        orders = neighbor_order(glob, queries, 8)
+        for b, q in enumerate(queries):
+            brute = sorted((j for j in range(12) if j != q), key=lambda j: (glob[b, j], j))
+            assert orders[b].tolist() == neighbor_order(glob[b], q, 8).tolist() == brute[:8]
 
 
 def test_oracle_knn_window_and_full(small_world):
@@ -309,7 +340,7 @@ def test_prediction_error_validation(small_world):
         with pytest.raises(ValueError, match="pairs must be a nonempty"):
             prediction_error("oracle", 0, pop, rankings, bad, k=5)
     for too_few in (0, 1):
-        with pytest.raises(ValueError, match=f"m >= 2 alternatives, got m={too_few}"):
+        with pytest.raises(ValueError, match=f"m must be an integer >= 2, got {too_few}"):
             sample_pairs(too_few, 3, rng.substream(0, rng.PAIR_SAMPLE, 0))
 
 

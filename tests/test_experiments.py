@@ -30,6 +30,7 @@ from plknn.experiments import (
     _query_errors,
     _SeedContext,
 )
+from plknn.rankings import _row_blocks
 
 
 def _tiny_config(seed=0, **overrides):
@@ -66,25 +67,33 @@ def test_context_builds_only_the_distances_its_methods_use():
     # the runner's Kendall row picks the same neighbors as the public kt_knn
     matrix = sample_rankings(sample_population(model), seed=0)
     assert np.array_equal(ctx.matrix, matrix)
-    for q in (0, 17, 39):
-        dist = _method_distances(ctx, "kt_knn", q)
+    queries = np.array([0, 17, 39])
+    for q, dist in zip(queries, _method_distances(ctx, "kt_knn", queries)):
         assert dist[q] == np.inf
         order = [j for j in np.lexsort((np.arange(dist.size), dist)) if j != q]
         assert tuple(order[:8]) == kt_knn(matrix, q, 8).members
 
 
 def _query_errors_reference(ctx, q, methods, k_grid, pair_count):
-    """The vote as two row-major gathers per method and a cumulative sum over
-    the neighbors, nearest first."""
+    """One query at a time: its distances one row at a time, the neighbor
+    order as a lexsort with index tie-break, and the vote as two row-major
+    gathers per method and a cumulative sum over the neighbors, nearest first."""
     pairs = agents.sample_pairs(
         ctx.population.n_alternatives, pair_count, rng.substream(ctx.seed, rng.PAIR_SAMPLE, q)
     )
     truth = agents.true_probabilities(ctx.population, q, pairs)
     latent = agents.oracle_distances(ctx.population, q)
+    rows = {"oracle": latent}
+    if "kt_knn" in methods:
+        rows["kt_knn"] = ctx.discordance[q].astype(float)
+        rows["kt_knn"][q] = np.inf
+    if "global_knn" in methods:
+        rows["global_knn"] = agents.global_distances(ctx.features, q)
     out = {}
     for method in methods:
-        dist = latent if method == "oracle" else _method_distances(ctx, method, q)
-        order = agents.neighbor_order(dist, q, max(k_grid))
+        dist = rows[method]
+        order = np.lexsort((np.arange(dist.size), dist))
+        order = order[order != q][: max(k_grid)]
         prefer = ctx.matrix[np.ix_(order, pairs[:, 0])] < ctx.matrix[np.ix_(order, pairs[:, 1])]
         cum_votes = np.cumsum(prefer, axis=0, dtype=np.float64)
         cum_dist = np.cumsum(latent[order])
@@ -100,21 +109,30 @@ def _query_errors_reference(ctx, q, methods, k_grid, pair_count):
 @given(
     n=st.integers(3, 14),
     m=st.integers(2, 40),
+    dim=st.integers(1, 3),
     pair_count=st.integers(1, 60),
     methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True),
     k_grid=st.lists(st.integers(1, 18), min_size=1, max_size=5, unique=True).map(sorted),
+    ragged=st.integers(2, 5),
     seed=st.integers(0, 2**16),
 )
-def test_query_errors_match_the_cumulative_vote(n, m, pair_count, methods, k_grid, seed):
-    # the shared vote count (one gather and one product for every method and
-    # k) equals the per-method gathers and cumulative sums bit for bit,
-    # k >= n - 1 included
-    model = ModelConfig(n_agents=n, n_alternatives=m, dim=1, box=5.0, seed=seed)
+def test_query_errors_match_the_cumulative_vote(
+    n, m, dim, pair_count, methods, k_grid, ragged, seed
+):
+    # the block query (one truth, distance and order step per block, one
+    # gather and one product per query for every method and k) equals one
+    # query at a time with per-method gathers and cumulative sums, bit for
+    # bit, for blocks of 1, of a size that leaves a ragged last block, and of
+    # all queries; k >= n - 1 included
+    model = ModelConfig(n_agents=n, n_alternatives=m, dim=dim, box=5.0, seed=seed)
     ctx = _build_context(model, seed, methods)
     k_grid = tuple(k_grid) + (n - 1, n + 3) if max(k_grid) < n - 1 else tuple(k_grid)
-    for q in range(n):
-        got = _query_errors(ctx, q, methods, k_grid, pair_count)
-        assert got == _query_errors_reference(ctx, q, methods, k_grid, pair_count)
+    want = [_query_errors_reference(ctx, q, methods, k_grid, pair_count) for q in range(n)]
+    for size in (1, ragged, n):
+        got = []
+        for start in range(0, n, size):
+            got += _query_errors(ctx, range(start, min(start + size, n)), methods, k_grid, pair_count)
+        assert got == want
 
 
 def test_context_refuses_unobserved_entries():
@@ -171,6 +189,22 @@ def test_error_vs_k_parallel_matches_serial(tmp_path):
         write_report_csv(run_error_vs_k(cfg, n_jobs=n_jobs), path)
         written.append(path.read_bytes())
     assert all(data == written[0] for data in written)
+
+
+def test_parallel_blocks_match_serial(tmp_path):
+    # n = 60 and 60 pairs give blocks of 2**16 // 3600 = 18 queries: four
+    # blocks per seed and dimension, dealt to two threads
+    cfg = _tiny_config(
+        model=replace(_tiny_config().model, n_agents=60), replicate_seeds=(0,), dims=(1, 2)
+    )
+    assert len(list(_row_blocks(60, 60 * 60))) == 4
+    for run in (run_error_vs_k, run_dim_sweep):
+        written = []
+        for n_jobs in (1, 2):
+            path = tmp_path / f"{run.__name__}-{n_jobs}.csv"
+            write_report_csv(run(cfg, n_jobs=n_jobs), path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 def test_csv_schema_and_hash_column(tmp_path):

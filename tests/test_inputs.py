@@ -23,6 +23,7 @@ from plknn import (
     prediction_error,
     rank_matrix,
     restrict_ranking,
+    sample_pairs,
     run_dim_sweep,
     run_error_vs_k,
     run_error_vs_position,
@@ -43,6 +44,7 @@ POP = sample_population(ModelConfig(n_agents=6, n_alternatives=20, seed=0))
 M = sample_rankings(POP, seed=0)
 F = feature_matrix(M, 0)
 NEIGHBORS = NeighborSet(5, (0, 1), "oracle", ("top_k", 2))
+GEN = np.random.default_rng(0)
 FIG1B = ExperimentConfig(ModelConfig(n_agents=12, n_alternatives=30), k_grid=(3,))
 
 # (entry point, bad input) -> (call, a word of the message naming the argument)
@@ -99,6 +101,17 @@ BAD_INPUTS = {
         lambda: true_probabilities(POP, -1, np.array([[0, 1]])), "query"
     ),
     "oracle_distances negative query": (lambda: oracle_distances(POP, -1), "query"),
+    "oracle_distances 2-D queries": (lambda: oracle_distances(POP, [[0, 1]]), "query"),
+    "agent_distances_from a block past the end": (
+        lambda: agent_distances_from(F, [0, 6]), "agent i"
+    ),
+    # a float m sampled pairs, a bool or float count raised TypeError, a zero
+    # count returned no pairs and a negative one numpy's "negative dimensions"
+    "sample_pairs float m": (lambda: sample_pairs(2.5, 3, GEN), "m must"),
+    "sample_pairs bool count": (lambda: sample_pairs(20, True, GEN), "count must"),
+    "sample_pairs float count": (lambda: sample_pairs(20, 2.5, GEN), "count must"),
+    "sample_pairs zero count": (lambda: sample_pairs(20, 0, GEN), "count must"),
+    "sample_pairs negative count": (lambda: sample_pairs(20, -1, GEN), "count must"),
     "sample_rankings nan c_obs": (lambda: sample_rankings(POP, 0, c_obs=float("nan")), "c_obs"),
     "sample_rankings bool c_obs": (lambda: sample_rankings(POP, 0, c_obs=True), "c_obs"),
     # -2 wrote negative neighbor distances, 0 ended in an IndexError, 2.5 in
@@ -139,3 +152,5 @@ def test_integer_inputs_are_accepted():
     assert kendall_tau(tuple(M[0].tolist()), M[1]) == kendall_tau(M[0], M[1])
     assert sign_distance(m32, np.int64(0), 1) == sign_distance(M, 0, 1)
     assert np.array_equal(discordance_matrix(m32), discordance_matrix(M.astype(np.int64)))
+    gens = [np.random.default_rng(1) for _ in range(2)]
+    assert np.array_equal(sample_pairs(np.int64(20), np.int32(3), gens[0]), sample_pairs(20, 3, gens[1]))
